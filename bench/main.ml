@@ -938,6 +938,162 @@ let engine () =
   if not (speed_ok && alloc_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
+(* Static assessment: the factored summary (memoized unroll and grain
+   halves, closed-form DMA histogram) against the enumerating
+   {!Sw_swacc.Lower_ref}.  Gates (exit 1): the two summaries are equal
+   on every point of the three static-dense spaces and the five Table
+   II spaces, each at scales 1 and 4 and with and without double
+   buffering; the Table II static tuner is at least 5x faster than the
+   same tune run through the reference, with the same picks (a ratio
+   within one run, so it does not depend on the host's speed). *)
+
+let static_bench () =
+  section "Static assessment: factored summary vs the enumerating reference";
+  let params = Sw_arch.Params.default in
+  let config = Sw_sim.Config.default params in
+  let module Kernel = Sw_swacc.Kernel in
+  let module Registry = Sw_workloads.Registry in
+  let r = Sw_tuning.Space.range in
+  let spaces =
+    List.map
+      (fun (name, grains) -> (Registry.find_exn name, grains, r 1 4))
+      [ ("kmeans", r 1 1024); ("backprop", r 1 128); ("hotspot", r 1 1024) ]
+    @ List.map
+        (fun (e : Registry.entry) -> (e, e.Registry.grains, e.Registry.unrolls))
+        Registry.tuning_subset
+  in
+  let cases =
+    List.concat_map
+      (fun ((e : Registry.entry), grains, unrolls) ->
+        List.map
+          (fun scale ->
+            ( Printf.sprintf "%s/x%g" e.Registry.name scale,
+              e.Registry.build ~scale,
+              Sw_tuning.Space.enumerate ~grains ~unrolls ~double_buffers:[ false; true ] () ))
+          [ 1.0; 4.0 ])
+      spaces
+  in
+  Sw_swacc.Lower.clear_cache ();
+  let mismatches = ref 0 and compared = ref 0 in
+  List.iter
+    (fun (label, kernel, points) ->
+      List.iter
+        (fun p ->
+          let v = Sw_tuning.Space.to_variant p ~active_cpes:64 in
+          incr compared;
+          if Sw_swacc.Lower.summarize params kernel v <> Sw_swacc.Lower_ref.summarize params kernel v
+          then begin
+            incr mismatches;
+            if !mismatches <= 5 then
+              Printf.printf "MISMATCH %s g%d/u%d/db%b\n" label v.Kernel.grain v.Kernel.unroll
+                v.Kernel.double_buffer
+          end)
+        points)
+    cases;
+  Printf.printf "summaries compared: %d, mismatches: %d\n" !compared !mismatches;
+  (* the Table II static tune, through the library's model and through a
+     replica whose summaries come from the reference *)
+  let reference_model : Sw_backend.Backend.t =
+    (module struct
+      let name = "model"
+
+      let description = "static model over Lower_ref summaries"
+
+      let assess ?cutoff ?event_budget:_ (config : Sw_sim.Config.t) kernel variant =
+        Sw_backend.Backend.timed (fun () ->
+            match Sw_swacc.Lower_ref.summarize params kernel variant with
+            | Error reason -> `Infeasible { Sw_backend.Backend.backend = name; reason }
+            | Ok summary ->
+                let pr = Swpm.Predict.run config.Sw_sim.Config.params summary in
+                Sw_backend.Backend.static_result ?cutoff pr.Swpm.Predict.t_total (Some pr))
+    end)
+  in
+  let reps = 5 in
+  let tune backend (e : Registry.entry) kernel =
+    Sw_swacc.Lower.clear_cache ();
+    Sw_isa.Schedule.clear_cache ();
+    let default = Sw_experiments.Table2.guideline_default params kernel ~grains:e.Registry.grains in
+    let points = Sw_tuning.Space.enumerate ~grains:e.Registry.grains ~unrolls:e.Registry.unrolls () in
+    Sw_tuning.Tuner.tune_exn ~backend ~default config kernel ~points
+  in
+  let t =
+    Sw_util.Table.create ~title:(Printf.sprintf "Table II static tuner, best of %d cold runs" reps)
+      [
+        ("kernel", Sw_util.Table.Left);
+        ("points", Sw_util.Table.Right);
+        ("reference", Sw_util.Table.Right);
+        ("factored", Sw_util.Table.Right);
+        ("speedup", Sw_util.Table.Right);
+        ("same pick", Sw_util.Table.Left);
+      ]
+  in
+  let rows =
+    List.map
+      (fun (e : Registry.entry) ->
+        let kernel = e.Registry.build ~scale:1.0 in
+        let best backend =
+          let runs = List.init reps (fun _ -> tune backend e kernel) in
+          List.fold_left
+            (fun a (o : Sw_tuning.Tuner.outcome) ->
+              if o.tuning_host_s < a.Sw_tuning.Tuner.tuning_host_s then o else a)
+            (List.hd runs) runs
+        in
+        let fact = best Sw_backend.Backend.static_model in
+        let refr = best reference_model in
+        let same = fact.best = refr.best && fact.best_cycles = refr.best_cycles in
+        let npoints = List.length e.Registry.grains * List.length e.Registry.unrolls in
+        Sw_util.Table.add_row t
+          [
+            e.Registry.name;
+            string_of_int npoints;
+            Printf.sprintf "%.2f ms" (1e3 *. refr.tuning_host_s);
+            Printf.sprintf "%.2f ms" (1e3 *. fact.tuning_host_s);
+            Printf.sprintf "%.1fx" (refr.tuning_host_s /. fact.tuning_host_s);
+            (if same then "yes" else "NO");
+          ];
+        (e.Registry.name, npoints, refr.tuning_host_s, fact.tuning_host_s, same))
+      Registry.tuning_subset
+  in
+  Sw_util.Table.print t;
+  let sum f = List.fold_left (fun a row -> a +. f row) 0.0 rows in
+  let ref_s = sum (fun (_, _, r, _, _) -> r) and fact_s = sum (fun (_, _, _, f, _) -> f) in
+  let speedup = ref_s /. fact_s in
+  let same_ok = List.for_all (fun (_, _, _, _, same) -> same) rows in
+  Printf.printf "aggregate: reference %.4f s, factored %.4f s, %.1fx\n" ref_s fact_s speedup;
+  let equal_ok = !mismatches = 0 in
+  let speed_ok = speedup >= 5.0 in
+  if not equal_ok then
+    Printf.printf "GATE FAILED: %d summaries differ from Lower_ref\n" !mismatches;
+  if not speed_ok then
+    Printf.printf "GATE FAILED: static tuner speedup %.2fx < 5x over the reference\n" speedup;
+  if not same_ok then Printf.printf "GATE FAILED: a tune through the reference picked differently\n";
+  add_json "static"
+    (json_obj
+       [
+         ("summaries_compared", string_of_int !compared);
+         ("mismatches", string_of_int !mismatches);
+         ("reps", string_of_int reps);
+         ("reference_s", json_float ref_s);
+         ("factored_s", json_float fact_s);
+         ("speedup", json_float speedup);
+         ( "rows",
+           json_list
+             (List.map
+                (fun (kernel, npoints, r, f, same) ->
+                  json_obj
+                    [
+                      ("kernel", Printf.sprintf "%S" kernel);
+                      ("points", string_of_int npoints);
+                      ("reference_s", json_float r);
+                      ("factored_s", json_float f);
+                      ("speedup", json_float (r /. f));
+                      ("same_pick", string_of_bool same);
+                    ])
+                rows) );
+       ]);
+  if not (equal_ok && speed_ok && same_ok) then exit 1
+
+(* ------------------------------------------------------------------ *)
 (* The serve daemon under a mixed Table II workload: sustained req/s
    and tail latency through the real server loop (pipes, batching,
    shared caches), plus the two correctness gates the service makes
@@ -1601,6 +1757,7 @@ let all =
     ("learn", learn_bench);
     ("micro", microbench);
     ("engine", engine);
+    ("static", static_bench);
     ("serve", serve_bench);
     ("shard", shard_bench);
     ("chaos", chaos_bench);

@@ -166,6 +166,9 @@ let predict_cmd =
         p_fault_level = fault_level;
       }
     in
+    Result.iter_error
+      (fun e -> handler_error (Sw_serve.Handler.bound_error_message e))
+      (Sw_serve.Handler.check_bounds (Sw_serve.Handler.Predict req));
     match (backend_name, trace, faults, json) with
     | ("model" | "static" | "static-model"), None, None, false ->
         let entry = Sw_workloads.Registry.find_exn name in

@@ -28,10 +28,22 @@ let blocks_touched ~trans_size ~addr ~bytes =
   let last = (addr + bytes - 1) / trans_size in
   last - first + 1
 
-let transactions ~trans_size access =
-  List.fold_left
-    (fun acc (addr, bytes) -> acc + blocks_touched ~trans_size ~addr ~bytes)
-    0 (chunks access)
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let transactions ~trans_size = function
+  | Contiguous { addr; bytes } -> blocks_touched ~trans_size ~addr ~bytes
+  | Strided { addr; row_bytes; stride; rows } ->
+      (* a row's block count depends only on its start address mod
+         trans_size, which repeats every [period] rows: sum one period *)
+      let period = trans_size / gcd trans_size (stride mod trans_size) in
+      let sum rows =
+        let acc = ref 0 in
+        for i = 0 to rows - 1 do
+          acc := !acc + blocks_touched ~trans_size ~addr:(addr + (i * stride)) ~bytes:row_bytes
+        done;
+        !acc
+      in
+      if rows <= period then sum rows else (rows / period * sum period) + sum (rows mod period)
 
 let ceil_div a b = (a + b - 1) / b
 

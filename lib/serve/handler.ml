@@ -487,6 +487,38 @@ let variant_of (entry : Sw_workloads.Registry.entry) grain unroll cpes db =
     double_buffer = db || base.Sw_swacc.Kernel.double_buffer;
   }
 
+(* --- request bounds ----------------------------------------------- *)
+
+(* Well-typed fields can still ask for nonsense: a negative scale
+   builds a different problem, and a negative shortlist size would fall
+   back to the default.  Every verb that does work checks its bounds
+   first, so the CLI and the daemon refuse the same requests. *)
+
+type bound_error = { field : string; value : string; expected : string }
+
+let bound_error_message e = Printf.sprintf "field %S: expected %s, got %s" e.field e.expected e.value
+
+let positive_scale scale =
+  if Float.is_finite scale && scale > 0.0 then Ok ()
+  else Error { field = "scale"; value = Printf.sprintf "%g" scale; expected = "a finite number > 0" }
+
+let check_bounds = function
+  | Predict p -> positive_scale p.p_scale
+  | Tune t ->
+      let* () = positive_scale t.t_scale in
+      if t.t_shortlist < 0 then
+        Error
+          {
+            field = "shortlist";
+            value = string_of_int t.t_shortlist;
+            expected = "an integer >= 0 (0 = a quarter of the space)";
+          }
+      else Ok ()
+  | Timeline l -> positive_scale l.l_scale
+  | Ping | Metrics | Shutdown -> Ok ()
+
+let within_bounds verb = Result.map_error bound_error_message (check_bounds verb)
+
 (* --- predict ------------------------------------------------------ *)
 
 type predict_result = {
@@ -499,6 +531,7 @@ type predict_result = {
 let simulating = function "sim" | "hybrid" -> true | _ -> false
 
 let predict state ?obs p =
+  let* () = within_bounds (Predict p) in
   let* entry = entry_of p.p_kernel in
   let* config = predict_config p in
   let kernel = entry.Sw_workloads.Registry.build ~scale:p.p_scale in
@@ -566,12 +599,14 @@ let strategy_of t ?rank ~n_points () =
           (Printf.sprintf
              "unknown strategy %S (available: exhaustive, shortlist, adaptive, halving, robust)" s)
 
-(* The one place the search space is built: the registry entry's axes,
-   each optionally overridden by a request axis spec (Space.parse_axis
-   syntax).  CLI tune, daemon tune, and every shard worker call this,
-   so all of them enumerate the exact same points in the exact same
-   order — the property the sharded argmin proof rests on. *)
-let tune_points t (entry : Sw_workloads.Registry.entry) =
+(* The one place the search space is defined: the registry entry's
+   axes, each optionally overridden by a request axis spec
+   (Space.parse_axis syntax).  CLI tune, daemon tune, and every shard
+   worker call this, so all of them enumerate the exact same points in
+   the exact same order — the property the sharded argmin proof rests
+   on.  A worker enumerates only its own shard of the product
+   ({!Sw_tuning.Shard.enumerate_mine}). *)
+let tune_axes t (entry : Sw_workloads.Registry.entry) =
   let axis name dflt = function
     | None -> Ok dflt
     | Some spec -> (
@@ -581,7 +616,10 @@ let tune_points t (entry : Sw_workloads.Registry.entry) =
   in
   let* grains = axis "grains" entry.Sw_workloads.Registry.grains t.t_grains in
   let* unrolls = axis "unrolls" entry.Sw_workloads.Registry.unrolls t.t_unrolls in
-  let double_buffers = if t.t_db_both then [ false; true ] else [ false ] in
+  Ok (grains, unrolls, if t.t_db_both then [ false; true ] else [ false ])
+
+let tune_points t entry =
+  let* grains, unrolls, double_buffers = tune_axes t entry in
   Ok (Sw_tuning.Space.enumerate ~grains ~unrolls ~double_buffers ())
 
 (* --- sharded dispatch --------------------------------------------- *)
@@ -623,8 +661,9 @@ let shard_journals t ~workers =
       Array.init workers (fun shard ->
           Filename.temp_file (Printf.sprintf "swpm-shard%dof%d-" shard workers) ".journal")
 
-let sharded_tune state t config kernel points =
+let sharded_tune state t config kernel entry =
   let t = resolve_seed t in
+  let* grains, unrolls, double_buffers = tune_axes t entry in
   let workers = t.t_workers in
   let* canonical, _ = backend state t.t_backend in
   (* Validate the strategy (and rank backend) here so a typo surfaces
@@ -632,7 +671,9 @@ let sharded_tune state t config kernel points =
   let* _ =
     match t.t_rank with None -> Ok None | Some name -> Result.map Option.some (backend state name)
   in
-  let* strategy = strategy_of t ~n_points:(List.length points) () in
+  let* strategy =
+    strategy_of t ~n_points:(Sw_tuning.Space.size ~grains ~unrolls ~double_buffers ()) ()
+  in
   let journals = shard_journals t ~workers in
   let cleanup () =
     (* ephemeral journals only: a --checkpoint'ed tune keeps its shard
@@ -646,7 +687,7 @@ let sharded_tune state t config kernel points =
       ~argv:(fun ~shard ~journal -> worker_argv t ~shard ~shards:workers ~journal)
       ~journal_of:(fun shard -> journals.(shard))
       ~max_restarts:t.t_max_restarts ?hang_timeout_s:t.t_hang_timeout_s config kernel
-      ~points
+      ~points:(lazy (Sw_tuning.Space.enumerate ~grains ~unrolls ~double_buffers ()))
   in
   cleanup ();
   match result with
@@ -664,13 +705,14 @@ let sharded_tune state t config kernel points =
   | Error (`No_feasible_point msg) | Error (`Worker_failure msg) -> Error msg
 
 let tune state ?(degrade = false) ?pool ?obs t =
+  let* () = within_bounds (Tune t) in
   let* entry = entry_of t.t_kernel in
   let* config = tune_config t in
   let kernel = entry.Sw_workloads.Registry.build ~scale:t.t_scale in
+  if (not degrade) && t.t_workers > 1 then sharded_tune state t config kernel entry
+  else
   let* points = tune_points t entry in
   let n_points = List.length points in
-  if (not degrade) && t.t_workers > 1 then sharded_tune state t config kernel points
-  else
   let* canonical, shared, strategy =
     if degrade then
       (* Overload shedding: whatever was asked for, answer with the
@@ -740,8 +782,8 @@ let chaos_backend ~actions ~jnl inner =
     (module Chaotic : Backend.S)
 
 (* The body of [swmodel shard-worker]: parse the spec the coordinator
-   passed on the command line, rebuild the identical space, keep only
-   this shard's points, and run the ordinary search over them with the
+   passed on the command line, enumerate this shard's points of the
+   identical space, and run the ordinary search over them with the
    cutoff link wired to stdin/stdout.  Ground truth goes to the journal
    (closed before the Done line, so the coordinator never merges behind
    an open write); the pipe carries only advisory incumbents/stats. *)
@@ -766,8 +808,10 @@ let worker_main spec =
     let* entry = entry_of t.t_kernel in
     let* config = tune_config t in
     let kernel = entry.Sw_workloads.Registry.build ~scale:t.t_scale in
-    let* points = tune_points t entry in
-    let mine = Sw_tuning.Shard.mine ~shard ~shards points in
+    let* grains, unrolls, double_buffers = tune_axes t entry in
+    let mine =
+      Sw_tuning.Shard.enumerate_mine ~shard ~shards ~grains ~unrolls ~double_buffers ()
+    in
     (* a worker is its own process: fresh state, private memo caches *)
     let state = create () in
     let* _, shared = backend state t.t_backend in
@@ -840,6 +884,7 @@ let worker_main spec =
 
 let timeline state ?obs l =
   ignore state;
+  let* () = within_bounds (Timeline l) in
   let* entry = entry_of l.l_kernel in
   let* config = timeline_config l in
   let kernel = entry.Sw_workloads.Registry.build ~scale:l.l_scale in

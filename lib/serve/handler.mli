@@ -199,6 +199,22 @@ type tune_result = {
   tr_degraded : bool;  (** Shed to model-only shortlist scoring. *)
 }
 
+type bound_error = {
+  field : string;  (** The request field out of bounds, as on the wire. *)
+  value : string;  (** The offending value, printed. *)
+  expected : string;  (** The bound it violates. *)
+}
+
+val check_bounds : verb -> (unit, bound_error) result
+(** Reject well-typed but meaningless fields: a non-finite or
+    non-positive [scale] (predict, tune, timeline) and a negative
+    [shortlist] (tune).  {!predict}, {!tune} and {!timeline} check
+    first, so the CLI and the daemon refuse the same requests, with
+    {!bound_error_message} as the error. *)
+
+val bound_error_message : bound_error -> string
+(** [field "scale": expected a finite number > 0, got -1]. *)
+
 val predict_config : predict_req -> (Sw_sim.Config.t, string) result
 val tune_config : tune_req -> (Sw_sim.Config.t, string) result
 val timeline_config : timeline_req -> (Sw_sim.Config.t, string) result
@@ -234,9 +250,10 @@ val tune :
 val tune_points :
   tune_req -> Sw_workloads.Registry.entry -> (Sw_tuning.Space.point list, string) result
 (** The request's search space: the registry entry's axes with the
-    request's [grains]/[unrolls]/[db_both] overrides applied.  The CLI,
-    the daemon and every shard worker enumerate through this one
-    function, in one deterministic order. *)
+    request's [grains]/[unrolls]/[db_both] overrides applied.  The CLI
+    and the daemon enumerate through this one function, in one
+    deterministic order; a shard worker enumerates its own shard of the
+    same axes ({!Sw_tuning.Shard.enumerate_mine}), in the same order. *)
 
 val worker_argv :
   tune_req -> shard:int -> shards:int -> journal:string -> string array

@@ -123,6 +123,22 @@ let coalesce_gloads t ~factor =
         { t with gloads; name = t.name ^ "+coalesced" }
       end
 
+let copied_in c = match c.direction with In | Inout -> true | Out -> false
+
+let copied_out c = match c.direction with Out | Inout -> true | In -> false
+
+let chunk_access c ~first ~n =
+  match c.freq with
+  | Per_chunk -> Sw_arch.Mem_req.contiguous ~addr:c.base_addr ~bytes:c.bytes_per_elem
+  | Per_element -> (
+      match c.layout with
+      | Contiguous ->
+          Sw_arch.Mem_req.contiguous ~addr:(c.base_addr + (first * c.bytes_per_elem))
+            ~bytes:(n * c.bytes_per_elem)
+      | Strided stride ->
+          Sw_arch.Mem_req.strided ~addr:(c.base_addr + (first * stride))
+            ~row_bytes:c.bytes_per_elem ~stride ~rows:n)
+
 let chunks_of_cpe t ~grain ~active_cpes ~cpe =
   let nchunks = total_chunks t ~grain in
   let rec collect k acc =

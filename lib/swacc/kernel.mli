@@ -99,6 +99,16 @@ val elem_bytes_per_element : t -> int
 
 val total_chunks : t -> grain:int -> int
 
+val copied_in : copy_spec -> bool
+(** The array is copied into SPM before a chunk ([In] or [Inout]). *)
+
+val copied_out : copy_spec -> bool
+(** The array is copied back after a chunk ([Out] or [Inout]). *)
+
+val chunk_access : copy_spec -> first:int -> n:int -> Sw_arch.Mem_req.access
+(** Main-memory access of one array for the chunk of [n] elements
+    starting at global element [first]. *)
+
 val chunks_of_cpe : t -> grain:int -> active_cpes:int -> cpe:int -> (int * int) list
 (** [(first_element, n_elements)] chunks assigned to [cpe], round-robin
     over chunks as SWACC distributes them. *)

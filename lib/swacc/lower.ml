@@ -5,32 +5,14 @@ let spm_required kernel (variant : Kernel.variant) =
   let base = Kernel.spm_bytes_per_chunk kernel ~grain:variant.grain in
   if variant.double_buffer then 2 * base else base
 
-(* Main-memory access of one array for a chunk of [n] elements starting
-   at global element [first]. *)
-let chunk_access (c : Kernel.copy_spec) ~first ~n =
-  match c.freq with
-  | Kernel.Per_chunk -> Mem_req.contiguous ~addr:c.base_addr ~bytes:c.bytes_per_elem
-  | Kernel.Per_element -> (
-      match c.layout with
-      | Kernel.Contiguous ->
-          Mem_req.contiguous ~addr:(c.base_addr + (first * c.bytes_per_elem))
-            ~bytes:(n * c.bytes_per_elem)
-      | Kernel.Strided stride ->
-          Mem_req.strided ~addr:(c.base_addr + (first * stride)) ~row_bytes:c.bytes_per_elem
-            ~stride ~rows:n)
-
-let is_in (c : Kernel.copy_spec) = match c.direction with Kernel.In | Kernel.Inout -> true | Kernel.Out -> false
-
-let is_out (c : Kernel.copy_spec) = match c.direction with Kernel.Out | Kernel.Inout -> true | Kernel.In -> false
-
-(* Compute items for the elements [first, first+n): per-element Gloads
-   interleaved with per-element compute when the kernel is irregular,
-   otherwise a single fused compute over the chunk. *)
 let ceil_div a b = (a + b - 1) / b
 
 (* scalar iterations -> vector iterations *)
 let vector_iters kernel n = ceil_div n kernel.Kernel.vector_width
 
+(* Compute items for the elements [first, first+n): per-element Gloads
+   interleaved with per-element compute when the kernel is irregular,
+   otherwise a single fused compute over the chunk. *)
 let compute_items kernel ~(blocks : Sw_isa.Instr.t array * Sw_isa.Instr.t array) ~unroll ~first ~n =
   let block_u, block_r = blocks in
   let per_elem_trips = kernel.Kernel.body_trips_per_element in
@@ -70,14 +52,14 @@ let spill_items kernel ~grain ~first =
 let group_issue kernel ~pred ~dir ~tag (first, n) =
   let accesses =
     List.filter_map
-      (fun c -> if pred c then Some (chunk_access c ~first ~n) else None)
+      (fun c -> if pred c then Some (Kernel.chunk_access c ~first ~n) else None)
       kernel.Kernel.copies
   in
   if accesses = [] then [] else [ Program.Dma_issue { dir; accesses; tag } ]
 
 let sync_chunk kernel ~blocks ~unroll (first, n) =
-  let ins = group_issue kernel ~pred:is_in ~dir:Program.Get ~tag:0 (first, n) in
-  let outs = group_issue kernel ~pred:is_out ~dir:Program.Put ~tag:0 (first, n) in
+  let ins = group_issue kernel ~pred:Kernel.copied_in ~dir:Program.Get ~tag:0 (first, n) in
+  let outs = group_issue kernel ~pred:Kernel.copied_out ~dir:Program.Put ~tag:0 (first, n) in
   let wait_in = if ins = [] then [] else [ Program.Dma_wait 0 ] in
   let wait_out = if outs = [] then [] else [ Program.Dma_wait 0 ] in
   ins @ wait_in
@@ -96,7 +78,7 @@ let double_buffered_items kernel ~blocks ~unroll chunks =
   else begin
     let items = ref [] in
     let push is = items := List.rev_append is !items in
-    push (issues ~pred:is_in ~dir:Program.Get ~tag:(in_tag 0) chunks.(0));
+    push (issues ~pred:Kernel.copied_in ~dir:Program.Get ~tag:(in_tag 0) chunks.(0));
     for k = 0 to nchunks - 1 do
       let b = k mod 2 in
       push [ Program.Dma_wait (in_tag b) ];
@@ -105,186 +87,344 @@ let double_buffered_items kernel ~blocks ~unroll chunks =
         (* the next copy-in reuses buffer b'; its previous copy-out must
            have drained first *)
         push [ Program.Dma_wait (out_tag b') ];
-        push (issues ~pred:is_in ~dir:Program.Get ~tag:(in_tag b') chunks.(k + 1))
+        push (issues ~pred:Kernel.copied_in ~dir:Program.Get ~tag:(in_tag b') chunks.(k + 1))
       end;
       let first, n = chunks.(k) in
       push (spill_items kernel ~grain:n ~first);
       push (compute_items kernel ~blocks ~unroll ~first ~n);
-      push (issues ~pred:is_out ~dir:Program.Put ~tag:(out_tag b) chunks.(k))
+      push (issues ~pred:Kernel.copied_out ~dir:Program.Put ~tag:(out_tag b) chunks.(k))
     done;
     push [ Program.Dma_wait_all ];
     List.rev !items
   end
 
-(* Static summary for the longest-path CPE. *)
-let build_summary params kernel ~blocks ~unroll ~active ~double_buffer per_cpe_chunks =
-  let block_u, block_r = blocks in
-  let trans_size = params.Sw_arch.Params.trans_size in
-  (* computation follows the longest path (the CPE with the most
-     elements); DMA request shapes are tallied over the whole fleet and
-     averaged per CPE — Eq. 4's request wave is the fleet total, and
-     alignment can make some CPEs' requests heavier than others *)
-  let cpe_elems = Array.map (fun chunks -> List.fold_left (fun a (_, n) -> a + n) 0 chunks) per_cpe_chunks in
-  let longest = ref 0 in
-  Array.iteri (fun i n -> if n > cpe_elems.(!longest) then longest := i) cpe_elems;
-  (* one logical request per copy intrinsic per chunk: group identical
-     shapes; the static transaction count is alignment-aware — the
-     compiler knows bases and strides, and stride layout "has to be
-     taken into special considerations" (Section III-C) *)
+(* ------------------------------------------------------------------ *)
+(* Bounded memo tables.
+
+   Every table below caches a pure function of its key.  A key holding
+   a kernel compares it {e physically}: [Kernel.t] carries closures
+   (gload address generators), so two structurally-different kernels
+   can share a name ([Kernel.coalesce_gloads] keeps it) and no
+   structural key is sound.  Sweeps hold one kernel value across every
+   point, which is exactly when sharing pays.
+
+   Tables are mutex-guarded (tuning pools compile from several domains)
+   and FIFO-bounded, so a long bench run does not pin every result in
+   memory.  A miss computes outside the lock: concurrent misses of the
+   same key both compute (the results are equal) and nobody blocks on
+   another's work. *)
+
+module Memo (K : Hashtbl.HashedType) : sig
+  type 'v t
+
+  val create : int -> 'v t
+
+  val find_or_add : 'v t -> K.t -> (unit -> 'v) -> 'v
+
+  val clear : 'v t -> unit
+
+  val stats : 'v t -> int * int
+end = struct
+  module Tbl = Hashtbl.Make (K)
+
+  type 'v t = {
+    tbl : 'v Tbl.t;
+    fifo : K.t Queue.t;
+    capacity : int;
+    lock : Mutex.t;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create capacity =
+    { tbl = Tbl.create capacity; fifo = Queue.create (); capacity; lock = Mutex.create ();
+      hits = 0; misses = 0 }
+
+  let find_or_add t key compute =
+    let cached =
+      Mutex.protect t.lock (fun () ->
+          let r = Tbl.find_opt t.tbl key in
+          if Option.is_some r then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+          r)
+    in
+    match cached with
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        Mutex.protect t.lock (fun () ->
+            if not (Tbl.mem t.tbl key) then begin
+              if Queue.length t.fifo >= t.capacity then Tbl.remove t.tbl (Queue.pop t.fifo);
+              Queue.push key t.fifo;
+              Tbl.add t.tbl key v
+            end);
+        v
+
+  let clear t =
+    Mutex.protect t.lock (fun () ->
+        Tbl.reset t.tbl;
+        Queue.clear t.fifo;
+        t.hits <- 0;
+        t.misses <- 0)
+
+  let stats t = Mutex.protect t.lock (fun () -> (t.hits, t.misses))
+end
+
+let kernel_hash (k : Kernel.t) = Hashtbl.hash (k.Kernel.name, k.Kernel.n_elements)
+
+(* ------------------------------------------------------------------ *)
+(* Unroll half: the unrolled and remainder blocks.  Code generation
+   depends on the body, the address-arithmetic knob and the unroll
+   only, so one pair serves every grain and buffering choice. *)
+
+module Unroll_memo = Memo (struct
+  type t = Kernel.t * int
+
+  let equal (ka, ua) (kb, ub) = ka == kb && ua = ub
+
+  let hash (k, u) = Hashtbl.hash (kernel_hash k, u)
+end)
+
+let unroll_memo = Unroll_memo.create 256
+
+let blocks_of kernel ~unroll =
+  Unroll_memo.find_or_add unroll_memo (kernel, unroll) (fun () ->
+      let gen unroll =
+        Codegen.block ~ialu_per_access:kernel.Kernel.ialu_per_access ~unroll kernel.Kernel.body
+      in
+      let block_u = gen unroll in
+      (block_u, if unroll = 1 then block_u else gen 1))
+
+(* ------------------------------------------------------------------ *)
+(* Grain half: everything in the summary that depends on the
+   decomposition — the longest-path element count, the DMA-group
+   histogram and the Gload total — computed in closed form.  It depends
+   on the grain and the effective active CPEs, not on unroll or double
+   buffering.
+
+   Chunk k covers elements [k*grain, k*grain + n) and goes to CPE
+   k mod active.  CPE 0 always has the most elements: it holds the
+   most chunks, and it holds the short tail chunk only when it is the
+   sole CPE with that many (the enumerating summary breaks ties towards
+   the lowest CPE, so CPE 0 is its longest path too). *)
+
+type grain_facts = {
+  longest_elems : int;
+  dma_groups : Lowered.dma_group list;
+  gload_count : int;
+  gload_bytes : int;
+}
+
+(* Per-kernel prefix sums of the irregular per-element Gload counts:
+   [prefix.(i)] is the Gloads of elements [0, i). *)
+module Prefix_memo = Memo (struct
+  type t = Kernel.t
+
+  let equal = ( == )
+
+  let hash = kernel_hash
+end)
+
+let prefix_memo = Prefix_memo.create 8
+
+let gload_prefix kernel (g : Kernel.gload_spec) =
+  Prefix_memo.find_or_add prefix_memo kernel (fun () ->
+      let n = kernel.Kernel.n_elements in
+      let prefix = Array.make (n + 1) 0 in
+      for i = 0 to n - 1 do
+        prefix.(i + 1) <- prefix.(i) + g.Kernel.count_for i
+      done;
+      prefix)
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* One logical request per copy intrinsic per chunk, grouped by shape;
+   the transaction count is alignment-aware — the compiler knows bases
+   and strides, and stride layout "has to be taken into special
+   considerations" (Section III-C).  A full chunk's shape depends on
+   its index k only through the arrays' start addresses mod
+   trans_size, which advance by grain * (element bytes or stride) per
+   chunk and so repeat with period trans_size / gcd (those steps,
+   trans_size).  One period of full chunks, each weighted by how often
+   its residue recurs, plus the tail chunk is the whole fleet's
+   histogram.  Counts are averaged per active CPE — Eq. 4's request
+   wave is the fleet total. *)
+let dma_histogram ~trans_size kernel ~grain ~active =
+  let copies = kernel.Kernel.copies in
+  let step c =
+    match (c.Kernel.freq, c.Kernel.layout) with
+    | Kernel.Per_chunk, _ -> 0
+    | Kernel.Per_element, Kernel.Contiguous -> grain * c.Kernel.bytes_per_elem mod trans_size
+    | Kernel.Per_element, Kernel.Strided stride -> grain * stride mod trans_size
+  in
+  let period = trans_size / List.fold_left (fun acc c -> gcd acc (step c)) trans_size copies in
   let groups : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let note ~payload ~mrt ~transfers =
-    if payload > 0 then begin
+  let note ~weight ~pred ~first ~n =
+    let payload, mrt, transfers =
+      List.fold_left
+        (fun ((payload, mrt, transfers) as acc) c ->
+          if pred c then begin
+            let access = Kernel.chunk_access c ~first ~n in
+            ( payload + Mem_req.payload_bytes access,
+              mrt + Mem_req.transactions ~trans_size access,
+              transfers + 1 )
+          end
+          else acc)
+        (0, 0, 0) copies
+    in
+    if payload > 0 then
       match Hashtbl.find_opt groups (payload, mrt, transfers) with
-      | Some r -> incr r
-      | None -> Hashtbl.add groups (payload, mrt, transfers) (ref 1)
-    end
+      | Some r -> r := !r + weight
+      | None -> Hashtbl.add groups (payload, mrt, transfers) (ref weight)
   in
-  Array.iter
-    (fun chunks ->
-      List.iter
-        (fun (first, n) ->
-          let tally pred =
-            List.fold_left
-              (fun (payload, mrt, transfers) c ->
-                if pred c then begin
-                  let access = chunk_access c ~first ~n in
-                  ( payload + Mem_req.payload_bytes access,
-                    mrt + Mem_req.transactions ~trans_size access,
-                    transfers + 1 )
-                end
-                else (payload, mrt, transfers))
-              (0, 0, 0) kernel.Kernel.copies
-          in
-          let in_payload, in_mrt, in_tr = tally is_in in
-          let out_payload, out_mrt, out_tr = tally is_out in
-          note ~payload:in_payload ~mrt:in_mrt ~transfers:in_tr;
-          note ~payload:out_payload ~mrt:out_mrt ~transfers:out_tr)
-        chunks)
-    per_cpe_chunks;
-  let dma_groups =
-    Hashtbl.fold
-      (fun (payload_bytes, mrt, transfers) count acc ->
-        {
-          Lowered.payload_bytes;
-          mrt;
-          count = float_of_int !count /. float_of_int active;
-          transfers;
-        }
-        :: acc)
-      groups []
-    |> List.sort compare
+  let chunk ~weight ~first ~n =
+    note ~weight ~pred:Kernel.copied_in ~first ~n;
+    note ~weight ~pred:Kernel.copied_out ~first ~n
   in
-  (* gloads: max over CPEs, plus per-chunk compiler spills *)
-  let spills_of chunks =
+  let n_elements = kernel.Kernel.n_elements in
+  let full = n_elements / grain and tail = n_elements mod grain in
+  for r = 0 to Stdlib.min period full - 1 do
+    let weight = (full / period) + if r < full mod period then 1 else 0 in
+    chunk ~weight ~first:(r * grain) ~n:grain
+  done;
+  if tail > 0 then chunk ~weight:1 ~first:(full * grain) ~n:tail;
+  Hashtbl.fold
+    (fun (payload_bytes, mrt, transfers) count acc ->
+      { Lowered.payload_bytes; mrt; count = float_of_int !count /. float_of_int active; transfers }
+      :: acc)
+    groups []
+  |> List.sort compare
+
+let grain_facts ~trans_size kernel ~grain ~active =
+  let n_elements = kernel.Kernel.n_elements in
+  let nchunks = ceil_div n_elements grain in
+  let tail = n_elements mod grain in
+  (* the CPE holding the short tail chunk, if any *)
+  let tail_cpe = if tail > 0 then (nchunks - 1) mod active else -1 in
+  let chunks_of cpe = (nchunks / active) + if cpe < nchunks mod active then 1 else 0 in
+  let spills cpe =
     match kernel.Kernel.spill_gloads with
     | None -> 0
-    | Some f -> List.fold_left (fun acc (_, n) -> acc + Stdlib.max 0 (f n)) 0 chunks
+    | Some f ->
+        let full = chunks_of cpe - if cpe = tail_cpe then 1 else 0 in
+        (full * Stdlib.max 0 (f grain)) + if cpe = tail_cpe then Stdlib.max 0 (f tail) else 0
   in
   let gload_count, gload_bytes =
     match kernel.Kernel.gloads with
-    | None ->
-        ( (if kernel.Kernel.spill_gloads = None then 0 else spills_of per_cpe_chunks.(!longest)),
-          8 )
+    | None -> (spills 0, 8)
     | Some g ->
-        let per_cpe =
-          Array.map
-            (fun chunks ->
-              List.fold_left
-                (fun acc (first, n) ->
-                  let rec sum k acc =
-                    if k = n then acc else sum (k + 1) (acc + g.Kernel.count_for (first + k))
-                  in
-                  sum 0 acc)
-                0 chunks)
-            per_cpe_chunks
-        in
-        let per_cpe = Array.map2 ( + ) per_cpe (Array.map spills_of per_cpe_chunks) in
-        (Array.fold_left Stdlib.max 0 per_cpe, g.Kernel.g_bytes)
-  in
-  let total_iters = vector_iters kernel (cpe_elems.(!longest) * kernel.Kernel.body_trips_per_element) in
-  let trips_u, rem_per_block = Codegen.trips_for ~total_iters ~unroll in
-  (* remainders occur per compute item; approximating by the aggregate
-     split keeps the summary simple and matches the fused case exactly *)
-  let computes =
-    List.filter_map
-      (fun (block, trips) -> if trips > 0 then Some { Lowered.block; trips } else None)
-      [ (block_u, trips_u); (block_r, rem_per_block) ]
+        (* Gloads are irregular per element, so the maximum runs over
+           every CPE, one prefix-sum difference per chunk *)
+        let prefix = gload_prefix kernel g in
+        let most = ref 0 in
+        for cpe = 0 to active - 1 do
+          let total = ref (spills cpe) in
+          let k = ref cpe in
+          while !k < nchunks do
+            let first = !k * grain in
+            total := !total + prefix.(Stdlib.min n_elements (first + grain)) - prefix.(first);
+            k := !k + active
+          done;
+          most := Stdlib.max !most !total
+        done;
+        (!most, g.Kernel.g_bytes)
   in
   {
-    Lowered.active_cpes = active;
-    dma_groups;
+    longest_elems = (chunks_of 0 * grain) - if tail_cpe = 0 then grain - tail else 0;
+    dma_groups = dma_histogram ~trans_size kernel ~grain ~active;
     gload_count;
     gload_bytes;
-    computes;
-    vector_width = kernel.Kernel.vector_width;
-    double_buffered = double_buffer;
   }
 
-(* Shared front half: validate the variant, generate blocks, compute
-   the decomposition and the static summary. *)
-let compile params kernel (variant : Kernel.variant) =
-  let open Kernel in
+(* Of the machine parameters only the transaction size matters here. *)
+module Grain_memo = Memo (struct
+  type t = Kernel.t * int * int * int
+
+  let equal (ka, ta, ga, aa) (kb, tb, gb, ab) = ka == kb && ta = tb && ga = gb && aa = ab
+
+  let hash (k, t, g, a) = Hashtbl.hash (kernel_hash k, t, g, a)
+end)
+
+let grain_memo = Grain_memo.create 4096
+
+let grain_facts_of params kernel ~grain ~active =
+  let trans_size = params.Sw_arch.Params.trans_size in
+  Grain_memo.find_or_add grain_memo (kernel, trans_size, grain, active) (fun () ->
+      grain_facts ~trans_size kernel ~grain ~active)
+
+(* ------------------------------------------------------------------ *)
+(* Compile: validate the variant, then join the two halves.  Compute
+   follows the longest path; remainders occur per compute item, and
+   approximating them by the aggregate split keeps the summary simple
+   and matches the fused case exactly. *)
+
+let check params kernel (variant : Kernel.variant) =
+  let total_cpes = Sw_arch.Params.total_cpes params in
   if variant.grain <= 0 then Error "grain must be positive"
   else if variant.unroll <= 0 then Error "unroll must be positive"
   else if variant.active_cpes <= 0 then Error "active_cpes must be positive"
-  else if variant.active_cpes > Sw_arch.Params.total_cpes params then
+  else if variant.active_cpes > total_cpes then
     Error
-      (Printf.sprintf "variant wants %d CPEs but the machine has %d" variant.active_cpes
-         (Sw_arch.Params.total_cpes params))
+      (Printf.sprintf "variant wants %d CPEs but the machine has %d" variant.active_cpes total_cpes)
   else begin
     let spm = spm_required kernel variant in
     if spm > params.Sw_arch.Params.spm_bytes then
       Error
         (Printf.sprintf "chunk needs %d B of SPM but only %d B available" spm
            params.Sw_arch.Params.spm_bytes)
-    else begin
-      let active = effective_active_cpes kernel ~grain:variant.grain ~requested:variant.active_cpes in
-      let block_u =
-        Codegen.block ~ialu_per_access:kernel.ialu_per_access ~unroll:variant.unroll kernel.body
+    else Ok spm
+  end
+
+let compile params kernel (variant : Kernel.variant) =
+  Result.map
+    (fun spm ->
+      let active =
+        Kernel.effective_active_cpes kernel ~grain:variant.grain ~requested:variant.active_cpes
       in
-      let block_r =
-        if variant.unroll = 1 then block_u
-        else Codegen.block ~ialu_per_access:kernel.ialu_per_access ~unroll:1 kernel.body
+      let ((block_u, block_r) as blocks) = blocks_of kernel ~unroll:variant.unroll in
+      let facts = grain_facts_of params kernel ~grain:variant.grain ~active in
+      let total_iters =
+        vector_iters kernel (facts.longest_elems * kernel.Kernel.body_trips_per_element)
       in
-      let blocks = (block_u, block_r) in
-      let per_cpe_chunks =
-        Array.init active (fun cpe ->
-            chunks_of_cpe kernel ~grain:variant.grain ~active_cpes:active ~cpe)
+      let trips_u, rem = Codegen.trips_for ~total_iters ~unroll:variant.unroll in
+      let computes =
+        List.filter_map
+          (fun (block, trips) -> if trips > 0 then Some { Lowered.block; trips } else None)
+          [ (block_u, trips_u); (block_r, rem) ]
       in
       let summary =
-        build_summary params kernel ~blocks ~unroll:variant.unroll ~active
-          ~double_buffer:variant.double_buffer per_cpe_chunks
+        {
+          Lowered.active_cpes = active;
+          dma_groups = facts.dma_groups;
+          gload_count = facts.gload_count;
+          gload_bytes = facts.gload_bytes;
+          computes;
+          vector_width = kernel.Kernel.vector_width;
+          double_buffered = variant.double_buffer;
+        }
       in
-      Ok (spm, blocks, per_cpe_chunks, summary)
-    end
-  end
+      (spm, active, blocks, summary))
+    (check params kernel variant)
 
 let summarize params kernel variant =
   Result.map (fun (_, _, _, summary) -> summary) (compile params kernel variant)
 
 let lower params kernel (variant : Kernel.variant) =
-  match compile params kernel variant with
-  | Error msg -> Error msg
-  | Ok (spm, blocks, per_cpe_chunks, summary) ->
-      let programs =
-        Array.map
-          (fun chunks ->
-            let items =
-              if variant.double_buffer then
-                double_buffered_items kernel ~blocks ~unroll:variant.unroll chunks
-              else
-                List.concat_map (sync_chunk kernel ~blocks ~unroll:variant.unroll) chunks
-            in
-            Array.of_list items)
-          per_cpe_chunks
+  Result.map
+    (fun (spm, active, blocks, summary) ->
+      let program cpe =
+        let chunks = Kernel.chunks_of_cpe kernel ~grain:variant.grain ~active_cpes:active ~cpe in
+        Array.of_list
+          (if variant.double_buffer then
+             double_buffered_items kernel ~blocks ~unroll:variant.unroll chunks
+           else List.concat_map (sync_chunk kernel ~blocks ~unroll:variant.unroll) chunks)
       in
-      Ok
-        {
-          Lowered.kernel_name = kernel.Kernel.name;
-          programs;
-          summary;
-          spm_bytes_per_cpe = spm;
-        }
+      {
+        Lowered.kernel_name = kernel.Kernel.name;
+        programs = Array.init active program;
+        summary;
+        spm_bytes_per_cpe = spm;
+      })
+    (compile params kernel variant)
 
 let lower_exn params kernel variant =
   match lower params kernel variant with
@@ -297,90 +437,29 @@ let lower_exn params kernel variant =
    A pruned search assesses a variant (the backend lowers it) and then
    re-runs the winner and the default (the tuner lowers them again).
    Lowering is pure, so the result can be shared by everyone pricing
-   the same (params, kernel, variant).
+   the same (params, kernel, variant).  Sweeps revisit a small working
+   set per kernel, so the table is small. *)
 
-   The kernel is keyed by {e physical} identity: [Kernel.t] carries
-   closures (gload address generators), so two structurally-different
-   kernels can share a name ([Kernel.coalesce_gloads] keeps it) and no
-   structural key is sound.  Sweeps hold one kernel value across every
-   point, which is exactly when sharing pays.
+module Lower_memo = Memo (struct
+  type t = Sw_arch.Params.t * Kernel.t * Kernel.variant
 
-   The cache is mutex-guarded (tuning pools lower from several domains)
-   and FIFO-bounded: sweeps revisit a small working set per kernel, and
-   an unbounded table would pin every lowered program of a long bench
-   run in memory. *)
+  let equal (pa, ka, va) (pb, kb, vb) = ka == kb && va = vb && pa = pb
 
-type cache_key = {
-  ck_params : Sw_arch.Params.t;
-  ck_kernel : Kernel.t;  (* compared physically *)
-  ck_variant : Kernel.variant;
-}
-
-module Cache_tbl = Hashtbl.Make (struct
-  type t = cache_key
-
-  let equal a b =
-    a.ck_kernel == b.ck_kernel && a.ck_variant = b.ck_variant && a.ck_params = b.ck_params
-
-  let hash k =
-    Hashtbl.hash
-      ( k.ck_params,
-        k.ck_kernel.Kernel.name,
-        k.ck_kernel.Kernel.n_elements,
-        k.ck_kernel.Kernel.vector_width,
-        k.ck_variant )
+  let hash (p, k, v) = Hashtbl.hash (p, kernel_hash k, v)
 end)
 
-let cache_capacity = 64
-
-let cache_lock = Mutex.create ()
-
-let cache : (Lowered.t, string) result Cache_tbl.t = Cache_tbl.create cache_capacity
-
-let cache_fifo : cache_key Queue.t = Queue.create ()
-
-let cache_hits = ref 0
-
-let cache_misses = ref 0
-
-let locked f =
-  Mutex.lock cache_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
+let lower_memo = Lower_memo.create 64
 
 let clear_cache () =
-  locked (fun () ->
-      Cache_tbl.reset cache;
-      Queue.clear cache_fifo;
-      cache_hits := 0;
-      cache_misses := 0)
+  Lower_memo.clear lower_memo;
+  Unroll_memo.clear unroll_memo;
+  Grain_memo.clear grain_memo;
+  Prefix_memo.clear prefix_memo
 
-let cache_stats () = locked (fun () -> (!cache_hits, !cache_misses))
+let cache_stats () = Lower_memo.stats lower_memo
 
-let lower_cached params kernel (variant : Kernel.variant) =
-  let key = { ck_params = params; ck_kernel = kernel; ck_variant = variant } in
-  match
-    locked (fun () ->
-        match Cache_tbl.find_opt cache key with
-        | Some r ->
-            incr cache_hits;
-            Some r
-        | None ->
-            incr cache_misses;
-            None)
-  with
-  | Some r -> r
-  | None ->
-      (* lower outside the lock: concurrent misses of the same key both
-         compute (results are equal), nobody blocks on codegen *)
-      let r = lower params kernel variant in
-      locked (fun () ->
-          if not (Cache_tbl.mem cache key) then begin
-            if Queue.length cache_fifo >= cache_capacity then
-              Cache_tbl.remove cache (Queue.pop cache_fifo);
-            Queue.push key cache_fifo;
-            Cache_tbl.add cache key r
-          end);
-      r
+let lower_cached params kernel variant =
+  Lower_memo.find_or_add lower_memo (params, kernel, variant) (fun () -> lower params kernel variant)
 
 let lower_cached_exn params kernel variant =
   match lower_cached params kernel variant with

@@ -20,25 +20,41 @@ val lower_exn : Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> Lowered.t
 
 val summarize :
   Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> (Lowered.summary, string) result
-(** The compile-time half of {!lower}: generate code blocks and the
-    static summary without materializing per-CPE programs.  This is all
-    a static tuner needs to assess a variant, and is what makes model
-    assessment so much cheaper than a profiling run. *)
+(** The compile-time half of {!lower}: the static summary, without
+    materializing per-CPE programs.  This is all a static tuner needs to
+    assess a variant, and is what makes model assessment so much cheaper
+    than a profiling run.
+
+    The summary joins two memoized halves, one per axis it depends on.
+    The {e unroll half} is the (unrolled, remainder) code-block pair,
+    keyed on the kernel and the unroll.  The {e grain half} is the
+    longest-path element count, the DMA-group histogram and the Gload
+    total, keyed on the kernel, the transaction size, the grain and the
+    effective active CPEs; it is computed in closed form (one period of
+    chunk alignments plus the tail chunk; per-kernel prefix sums of
+    irregular Gload counts), never by walking every chunk.  Double
+    buffering only sets a flag.  {!lower} builds its summary from the
+    same halves, and {!Lower_ref.summarize} is the enumerating oracle
+    it must equal. *)
+
+val check : Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> (int, string) result
+(** Validate a variant against the machine: positive knobs, no more CPEs
+    than the machine has, and a chunk (doubled under double buffering)
+    that fits the SPM.  [Ok] carries the SPM bytes needed. *)
 
 val spm_required : Kernel.t -> Kernel.variant -> int
 (** SPM bytes the variant needs (doubled under double buffering). *)
 
-(** {1 Lowering cache}
+(** {1 Caches}
 
-    Lowering is pure, so its result is shared process-wide, keyed on
-    the machine parameters, the kernel value ({e physically} — a
-    [Kernel.t] carries gload closures, so only pointer identity is a
-    sound key; sweeps hold one kernel value across all points, which is
-    exactly when sharing pays) and the variant.  The table is
-    mutex-guarded (safe under {!Sw_util.Pool}
-    fan-out) and FIFO-bounded at a small capacity, sized for the
-    working set of a tuning sweep.  Both [Ok] and [Error] (infeasible)
-    results are cached. *)
+    Lowering and both summary halves are pure, so their results are
+    shared process-wide.  A key holding a kernel compares it
+    {e physically} — a [Kernel.t] carries gload closures, so only
+    pointer identity is a sound key; sweeps hold one kernel value
+    across all points, which is exactly when sharing pays.  Every table
+    is mutex-guarded (safe under {!Sw_util.Pool} fan-out) and
+    FIFO-bounded, sized for the working set of a tuning sweep.  Both
+    [Ok] and [Error] (infeasible) lowerings are cached. *)
 
 val lower_cached :
   Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> (Lowered.t, string) result
@@ -49,8 +65,8 @@ val lower_cached_exn : Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> Lowered
 (** @raise Invalid_argument when {!lower_cached} returns [Error]. *)
 
 val clear_cache : unit -> unit
-(** Drop all cached lowerings and zero the hit/miss counters (cold-run
-    benchmarking). *)
+(** Drop all cached lowerings and summary halves, and zero the
+    lowering hit/miss counters (cold-run benchmarking). *)
 
 val cache_stats : unit -> int * int
-(** [(hits, misses)] since creation or {!clear_cache}. *)
+(** Lowering-cache [(hits, misses)] since creation or {!clear_cache}. *)

@@ -20,25 +20,71 @@ module Json = Sw_obs.Json
 let canonical_key (p : Space.point) =
   Printf.sprintf "g%d|u%d|db%b" p.Space.grain p.Space.unroll p.Space.double_buffer
 
-(* FNV-1a, 64-bit: fixed constants, byte-at-a-time — stable across
-   versions and architectures, and cheap enough to assign a million
-   points in tens of milliseconds. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+(* FNV-1a, 64-bit, over the bytes of [canonical_key p]: fixed
+   constants, byte-at-a-time — stable across versions and
+   architectures.  The key is never built: its bytes are fed to the
+   hash as they are produced, in native ints, so assignment allocates
+   nothing.  Native ints wrap mod 2^63, which keeps exactly the low 63
+   bits of the 64-bit hash — the bits assignment reduces. *)
+let fnv_byte h c = (h lxor c) * 0x100000001b3
+
+let fnv_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
+
+(* The bytes of [n] as %d prints them, most significant digit first
+   (the recursion unwinds from the top digit); digits are taken from
+   the non-positive [m] so that [min_int] needs no special case. *)
+let rec fnv_digits h m =
+  if m > -10 then fnv_byte h (48 - m) else fnv_byte (fnv_digits h (m / 10)) (48 - (m mod 10))
+
+let fnv_int h n =
+  if n < 0 then fnv_digits (fnv_byte h (Char.code '-')) n else fnv_digits h (-n)
+
+(* The key's hash in three steps, so an enumeration can hash each
+   grain's and each unroll's prefix once: "g<grain>|u", then
+   "<unroll>|db", then "true" or "false".  The 64-bit offset basis
+   0xcbf29ce484222325 enters as its low 63 bits. *)
+let after_grain grain = fnv_string (fnv_int (fnv_string 0x4bf29ce484222325 "g") grain) "|u"
+
+let after_unroll h unroll = fnv_string (fnv_int h unroll) "|db"
+
+let finish h double_buffer = fnv_string h (if double_buffer then "true" else "false")
+
+(* Reduce the 63 bits unsigned: bit 62 is the native sign bit, worth
+   2^62 = max_int + 1. *)
+let reduce ~shards h =
+  if h >= 0 then h mod shards
+  else ((h land max_int) mod shards + (max_int mod shards) + 1) mod shards
 
 let assign ~shards p =
   if shards < 1 then invalid_arg "Shard.assign: shards must be >= 1";
-  Int64.to_int (Int64.rem (Int64.logand (fnv1a64 (canonical_key p)) Int64.max_int)
-                  (Int64.of_int shards))
+  reduce ~shards (finish (after_unroll (after_grain p.Space.grain) p.Space.unroll) p.Space.double_buffer)
 
 let mine ~shard ~shards points =
   if shard < 0 || shard >= shards then invalid_arg "Shard.mine: shard out of range";
   List.filter (fun p -> assign ~shards p = shard) points
+
+let enumerate_mine ~shard ~shards ~grains ~unrolls ?(double_buffers = [ false ]) () =
+  if shard < 0 || shard >= shards then invalid_arg "Shard.enumerate_mine: shard out of range";
+  let owned = ref [] in
+  List.iter
+    (fun grain ->
+      let hg = after_grain grain in
+      List.iter
+        (fun unroll ->
+          let hu = after_unroll hg unroll in
+          List.iter
+            (fun double_buffer ->
+              if reduce ~shards (finish hu double_buffer) = shard then
+                owned := { Space.grain; unroll; double_buffer } :: !owned)
+            double_buffers)
+        unrolls)
+    grains;
+  List.rev !owned
 
 (* ------------------------------------------------------------------ *)
 (* Protocol: one JSON object per line.  Floats serialize through

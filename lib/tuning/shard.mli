@@ -28,12 +28,27 @@ val canonical_key : Space.point -> string
 val assign : shards:int -> Space.point -> int
 (** Which shard (in [0 .. shards-1]) owns a point: FNV-1a (64-bit, fixed
     constants — stable across OCaml versions, unlike [Hashtbl.hash]) of
-    {!canonical_key}, mod [shards].
+    {!canonical_key}, low 63 bits, mod [shards].  Hashes the key's bytes
+    without building it, so it allocates nothing.
     @raise Invalid_argument when [shards < 1]. *)
 
 val mine : shard:int -> shards:int -> Space.point list -> Space.point list
 (** The sub-list a shard owns, in enumeration order.  The [shards]
     sub-lists partition the input exactly.
+    @raise Invalid_argument when [shard] is outside [0 .. shards-1]. *)
+
+val enumerate_mine :
+  shard:int ->
+  shards:int ->
+  grains:int list ->
+  unrolls:int list ->
+  ?double_buffers:bool list ->
+  unit ->
+  Space.point list
+(** [mine ~shard ~shards (Space.enumerate ~grains ~unrolls
+    ?double_buffers ())] without building the whole space: each grain's
+    and unroll's hash prefix is computed once, and only owned points
+    are allocated.  This is how a worker builds its shard.
     @raise Invalid_argument when [shard] is outside [0 .. shards-1]. *)
 
 (** {1 Protocol}

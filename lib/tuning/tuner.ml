@@ -200,6 +200,8 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
     List.init workers (fun shard ->
         Shard.launch ~shard ~argv:(argv ~shard ~journal:(journal_of shard)) ())
   in
+  (* the coordinator's own enumeration overlaps the workers' start *)
+  let points = Lazy.force points in
   let report = Shard.supervise ~max_restarts ?hang_timeout_s procs in
   let dones = List.filter (fun s -> s <> Sw_obs.Json.Null) report.Shard.stats in
   let supervision_quarantined =

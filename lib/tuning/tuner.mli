@@ -149,7 +149,7 @@ val tune_sharded :
   ?hang_timeout_s:float ->
   Sw_sim.Config.t ->
   Sw_swacc.Kernel.t ->
-  points:Space.point list ->
+  points:Space.point list Lazy.t ->
   (outcome, [ `No_feasible_point of string | `Worker_failure of string ]) result
 (** Fan one search out across [workers] processes.  [argv ~shard
     ~journal] names the command line for one worker (a [swmodel
@@ -164,7 +164,9 @@ val tune_sharded :
     itself: it merges the per-shard journals
     ({!Sw_backend.Backend.journal_merge} — config-digest-checked,
     truncated tails dropped, first-written entry wins) and folds the
-    argmin over [points] in global enumeration order with the same
+    argmin over [points] (forced once the workers are launched, so the
+    coordinator enumerates while they start) in global enumeration
+    order with the same
     strict [<] tie-break as {!tune}, so the sharded pick is the
     single-process pick whenever each worker's search finds its shard's
     minimum (shortlist/adaptive/halving with the rank backend equal to

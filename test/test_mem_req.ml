@@ -88,6 +88,27 @@ let prop_physical_vs_model =
       let chunks = List.length (Mem_req.chunks a) in
       phys >= model && phys <= model + chunks)
 
+(* The strided count sums one period of rows; the per-row walk over
+   [chunks] is its definition. *)
+let prop_transactions_per_row =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (addr, row_bytes, extra, rows) ->
+          Mem_req.strided ~addr ~row_bytes ~stride:(row_bytes + extra) ~rows)
+        (quad (int_range 0 100_000) (int_range 1 600) (int_range 0 1_000) (int_range 1 3_000)))
+  in
+  QCheck.Test.make ~name:"strided transactions = per-row sum" ~count:500 (QCheck.make gen)
+    (fun a ->
+      List.for_all
+        (fun trans_size ->
+          Mem_req.transactions ~trans_size a
+          = List.fold_left
+              (fun acc (addr, bytes) ->
+                acc + ((addr + bytes - 1) / trans_size) - (addr / trans_size) + 1)
+              0 (Mem_req.chunks a))
+        [ 64; 256; 1024 ])
+
 let prop_transactions_cover_payload =
   QCheck.Test.make ~name:"transactions cover payload bytes" ~count:500 arb_access (fun a ->
       Mem_req.transactions ~trans_size:ts a * ts >= Mem_req.payload_bytes a)
@@ -108,6 +129,7 @@ let tests =
       Alcotest.test_case "rows=1 collapses" `Quick test_strided_single_row_collapses;
       Alcotest.test_case "constructor guards" `Quick test_constructors_reject;
       Alcotest.test_case "iter transactions" `Quick test_iter_transactions;
+      QCheck_alcotest.to_alcotest prop_transactions_per_row;
       Alcotest.test_case "iter count consistency" `Quick test_iter_counts_match;
       Alcotest.test_case "route_cg round robin" `Quick test_route_cg;
       QCheck_alcotest.to_alcotest prop_physical_vs_model;

@@ -170,6 +170,58 @@ let test_parse_request_errors () =
   Alcotest.(check bool) "unknown op named" true
     (String.length (err {|{"op": "frobnicate"}|}) > 0)
 
+(* Out-of-bounds fields are refused with an error naming the field, on
+   the daemon path (a request line through [Handler.run]) and on the
+   CLI path (the record straight into the verb). *)
+let daemon_error line =
+  match Handler.parse_request line with
+  | Error msg -> Alcotest.failf "parse refused %S: %s" line msg
+  | Ok req -> (
+      match (Handler.run (Handler.create ()) req).Handler.result with
+      | Ok _ -> Alcotest.failf "accepted %S" line
+      | Error msg -> msg)
+
+let names_field field msg =
+  let prefix = Printf.sprintf "field %S:" field in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names %s" msg field)
+    true
+    (String.starts_with ~prefix msg)
+
+let test_bounds_negative_scale () =
+  names_field "scale" (daemon_error {|{"op": "predict", "kernel": "kmeans", "scale": -1}|});
+  names_field "scale" (daemon_error {|{"op": "tune", "kernel": "kmeans", "scale": -1}|});
+  names_field "scale" (daemon_error {|{"op": "timeline", "kernel": "kmeans", "scale": -1}|})
+
+let test_bounds_zero_scale () =
+  names_field "scale" (daemon_error {|{"op": "predict", "kernel": "kmeans", "scale": 0}|});
+  match Handler.timeline (Handler.create ()) { (Handler.timeline_defaults ~kernel:"kmeans") with Handler.l_scale = 0.0 } with
+  | Ok _ -> Alcotest.fail "timeline accepted scale 0"
+  | Error msg -> names_field "scale" msg
+
+let test_bounds_non_finite_scale () =
+  List.iter
+    (fun scale ->
+      (match Handler.predict (Handler.create ()) { (Handler.predict_defaults ~kernel:"kmeans") with Handler.p_scale = scale } with
+      | Ok _ -> Alcotest.failf "predict accepted scale %g" scale
+      | Error msg -> names_field "scale" msg);
+      match Handler.tune (Handler.create ()) { (Handler.tune_defaults ~kernel:"kmeans") with Handler.t_scale = scale } with
+      | Ok _ -> Alcotest.failf "tune accepted scale %g" scale
+      | Error msg -> names_field "scale" msg)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_bounds_negative_shortlist () =
+  names_field "shortlist"
+    (daemon_error {|{"op": "tune", "kernel": "kmeans", "strategy": "shortlist", "shortlist": -5}|});
+  match
+    Handler.check_bounds
+      (Handler.Tune { (Handler.tune_defaults ~kernel:"kmeans") with Handler.t_shortlist = -5 })
+  with
+  | Ok () -> Alcotest.fail "shortlist -5 within bounds"
+  | Error e ->
+      Alcotest.(check string) "field" "shortlist" e.Handler.field;
+      Alcotest.(check string) "value" "-5" e.Handler.value
+
 let test_request_key () =
   let parse line = Result.get_ok (Handler.parse_request line) in
   let a = parse {|{"id": 1, "op": "tune", "kernel": "kmeans", "seed": 5}|} in
@@ -821,6 +873,10 @@ let tests =
       Alcotest.test_case "parse_request applies CLI defaults" `Quick
         test_parse_request_defaults;
       Alcotest.test_case "parse_request readable errors" `Quick test_parse_request_errors;
+      Alcotest.test_case "bounds: negative scale refused" `Quick test_bounds_negative_scale;
+      Alcotest.test_case "bounds: zero scale refused" `Quick test_bounds_zero_scale;
+      Alcotest.test_case "bounds: non-finite scale refused" `Quick test_bounds_non_finite_scale;
+      Alcotest.test_case "bounds: negative shortlist refused" `Quick test_bounds_negative_shortlist;
       Alcotest.test_case "request keys ignore id and checkpoint" `Quick test_request_key;
       Alcotest.test_case "strip_volatile is recursive" `Quick test_strip_volatile;
       Alcotest.test_case "every response validates and round-trips" `Quick

@@ -46,6 +46,53 @@ let test_assign_stable () =
      Alcotest.fail "shards=0 accepted"
    with Invalid_argument _ -> ())
 
+(* The assignment as first written: FNV-1a 64 in boxed Int64 over the
+   built key string, low 63 bits, reduced mod [shards]. *)
+let reference_assign ~shards point =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    (Shard.canonical_key point);
+  Int64.to_int (Int64.rem (Int64.logand !h Int64.max_int) (Int64.of_int shards))
+
+let prop_assign_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let knob =
+        oneof [ int_range 1 5000; int_range (-1000) 1000; oneofl [ 0; max_int; min_int; 10; 99 ] ]
+      in
+      quad knob knob bool (int_range 1 1000))
+  in
+  QCheck.Test.make ~name:"assign = Int64 FNV-1a reference" ~count:5000
+    (QCheck.make
+       ~print:(fun (g, u, db, shards) -> Printf.sprintf "g%d u%d db%b shards %d" g u db shards)
+       gen)
+    (fun (grain, unroll, double_buffer, shards) ->
+      let point = pt grain unroll double_buffer in
+      Shard.assign ~shards point = reference_assign ~shards point)
+
+let test_enumerate_mine () =
+  let grains = Space.range 1 50 and unrolls = Space.range 1 8 in
+  List.iter
+    (fun (shards, double_buffers) ->
+      let points = Space.enumerate ~grains ~unrolls ~double_buffers () in
+      for shard = 0 to shards - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "shard %d of %d" shard shards)
+          true
+          (Shard.enumerate_mine ~shard ~shards ~grains ~unrolls ~double_buffers ()
+          = Shard.mine ~shard ~shards points)
+      done)
+    [ (1, [ false ]); (3, [ false; true ]); (4, [ true; false ]) ]
+
+let test_assign_allocation_free () =
+  let point = pt 4096 128 true in
+  let w0 = Gc.minor_words () in
+  for shards = 1 to 1000 do
+    ignore (Sys.opaque_identity (Shard.assign ~shards point))
+  done;
+  Alcotest.(check bool) "no minor allocation" true (Gc.minor_words () -. w0 < 100.0)
+
 let test_mine_partitions () =
   let points =
     Space.enumerate ~grains:(Space.range 1 50) ~unrolls:(Space.range 1 8)
@@ -296,7 +343,10 @@ let tests =
   ( "shard",
     [
       Alcotest.test_case "assign is a stable pure hash" `Quick test_assign_stable;
+      QCheck_alcotest.to_alcotest prop_assign_matches_reference;
+      Alcotest.test_case "assign allocates nothing" `Quick test_assign_allocation_free;
       Alcotest.test_case "mine partitions the space exactly" `Quick test_mine_partitions;
+      Alcotest.test_case "enumerate_mine = mine of the enumeration" `Quick test_enumerate_mine;
       Alcotest.test_case "merge keeps the first-written duplicate" `Quick
         test_merge_first_written_wins;
       Alcotest.test_case "digest mismatch raises the typed error" `Quick test_digest_mismatch;
