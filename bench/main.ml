@@ -809,9 +809,11 @@ let microbench () =
 (* The engine-throughput gate behind the tuning-time claims: events/sec
    and minor-heap words/event on the Table II workloads, optimized
    {!Sw_sim.Engine} vs the preserved reference path
-   {!Sw_sim.Engine_ref}.  Cold includes program lowering (compile
-   caches emptied first); warm is best-of-N with the caches populated —
-   the regime a tuning sweep or robustness study actually lives in.
+   {!Sw_sim.Engine_ref}.  The engine runs {!Sw_swacc.Lower.lower}'s flat
+   programs, the reference the item trees of {!Sw_swacc.Lower_ref.lower}.
+   Cold includes lowering from emptied lowering and block-cost caches;
+   warm is best-of-N runs of already-lowered programs — the regime a
+   tuning sweep or robustness study actually lives in.
    Gates (exit 1): aggregate warm speedup >= 5x, and under one
    minor-heap word per event on warm runs (the reference path spends
    ~30+ on heap entries, boxed events and per-request records). *)
@@ -853,26 +855,30 @@ let engine () =
     List.map
       (fun (entry : Sw_workloads.Registry.entry) ->
         let kernel = entry.Sw_workloads.Registry.build ~scale in
-        let lowered =
-          Sw_swacc.Lower.lower_exn params kernel entry.Sw_workloads.Registry.variant
-        in
-        let progs = lowered.Sw_swacc.Lowered.programs in
-        (* cold: lowering + validation included *)
-        Sw_sim.Engine.clear_compile_cache ();
+        let variant = entry.Sw_workloads.Registry.variant in
+        (* the engine runs the lowering's flat programs, the reference
+           the item trees of the reference lowering *)
+        let items = Result.get_ok (Sw_swacc.Lower_ref.lower params kernel variant) in
+        (* cold: lowering from empty caches included *)
+        Sw_swacc.Lower.clear_cache ();
         Sw_isa.Schedule.clear_cache ();
-        let t_cold = time_once (fun () -> Sw_sim.Engine.run config progs) in
+        let t_cold =
+          time_once (fun () ->
+              Sw_sim.Engine.run config (Sw_swacc.Lower.lower_exn params kernel variant).programs)
+        in
+        let progs = (Sw_swacc.Lower.lower_exn params kernel variant).Sw_swacc.Lowered.programs in
         let m = Sw_sim.Engine.run config progs in
         let events = m.Sw_sim.Metrics.events in
         let t_warm = time_best (fun () -> Sw_sim.Engine.run config progs) in
-        ignore (Sw_sim.Engine_ref.run config progs);
-        let t_ref = time_best (fun () -> Sw_sim.Engine_ref.run config progs) in
-        let words run =
+        ignore (Sw_sim.Engine_ref.run config items);
+        let t_ref = time_best (fun () -> Sw_sim.Engine_ref.run config items) in
+        let words run progs =
           let w0 = Gc.minor_words () in
           ignore (run config progs);
           (Gc.minor_words () -. w0) /. float_of_int events
         in
-        let wpe = words Sw_sim.Engine.run in
-        let ref_wpe = words Sw_sim.Engine_ref.run in
+        let wpe = words Sw_sim.Engine.run progs in
+        let ref_wpe = words Sw_sim.Engine_ref.run items in
         sum_ev := !sum_ev + events;
         sum_warm := !sum_warm +. t_warm;
         sum_ref := !sum_ref +. t_ref;
@@ -1733,6 +1739,129 @@ let chaos_bench () =
   if not (!sweep_ok && flood_ok && counters_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
+(* Flat lowering: {!Sw_swacc.Lower.lower} emits the engine's executable
+   form directly; the reference materializes item trees
+   ({!Sw_swacc.Lower_ref.lower}) and compiles them
+   ({!Sw_sim.Engine.compile}: validation plus the flattening walk), the
+   path every lowered program took before.  Both run over the five
+   Table II spaces at scale 4, with and without double buffering, from
+   emptied lowering and block-cost caches.  Gates (exit 1): every
+   point's flat programs equal the compiled reference trees (or both
+   refuse with the same message), and the flat lowering is at least 2x
+   faster (a ratio within one run, so it does not depend on the host's
+   speed). *)
+
+let lower_bench () =
+  section "Lowering: flat emission vs item trees + compile";
+  let params = Sw_arch.Params.default in
+  let config = Sw_sim.Config.default params in
+  let module Registry = Sw_workloads.Registry in
+  let reps = 5 in
+  let cases =
+    List.map
+      (fun (e : Registry.entry) ->
+        ( e.Registry.name,
+          e.Registry.build ~scale:4.0,
+          List.map
+            (fun p -> Sw_tuning.Space.to_variant p ~active_cpes:64)
+            (Sw_tuning.Space.enumerate ~grains:e.Registry.grains ~unrolls:e.Registry.unrolls
+               ~double_buffers:[ false; true ] ()) ))
+      Registry.tuning_subset
+  in
+  let flat kernel v = Result.map (fun l -> l.Sw_swacc.Lowered.programs) (Sw_swacc.Lower.lower params kernel v) in
+  let reference kernel v =
+    Result.map (Sw_sim.Engine.compile config) (Sw_swacc.Lower_ref.lower params kernel v)
+  in
+  let mismatches = ref 0 and compared = ref 0 in
+  List.iter
+    (fun (name, kernel, variants) ->
+      Sw_swacc.Lower.clear_cache ();
+      List.iter
+        (fun (v : Sw_swacc.Kernel.variant) ->
+          incr compared;
+          if flat kernel v <> reference kernel v then begin
+            incr mismatches;
+            if !mismatches <= 5 then
+              Printf.printf "MISMATCH %s g%d/u%d/db%b\n" name v.grain v.unroll v.double_buffer
+          end)
+        variants)
+    cases;
+  Printf.printf "points compared: %d, mismatches: %d\n" !compared !mismatches;
+  (* best of [reps] cold passes over one kernel's points *)
+  let time lower kernel variants =
+    let best = ref infinity in
+    for _ = 1 to reps do
+      Sw_swacc.Lower.clear_cache ();
+      Sw_isa.Schedule.clear_cache ();
+      let t0 = Unix.gettimeofday () in
+      List.iter (fun v -> ignore (Sys.opaque_identity (lower kernel v))) variants;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best
+  in
+  let t =
+    Sw_util.Table.create ~title:(Printf.sprintf "Table II lowering at scale 4, best of %d cold passes" reps)
+      [
+        ("kernel", Sw_util.Table.Left);
+        ("points", Sw_util.Table.Right);
+        ("trees+compile", Sw_util.Table.Right);
+        ("flat", Sw_util.Table.Right);
+        ("speedup", Sw_util.Table.Right);
+      ]
+  in
+  let rows =
+    List.map
+      (fun (name, kernel, variants) ->
+        let ref_s = time reference kernel variants and flat_s = time flat kernel variants in
+        let npoints = List.length variants in
+        Sw_util.Table.add_row t
+          [
+            name;
+            string_of_int npoints;
+            Printf.sprintf "%.2f ms" (1e3 *. ref_s);
+            Printf.sprintf "%.2f ms" (1e3 *. flat_s);
+            Printf.sprintf "%.1fx" (ref_s /. flat_s);
+          ];
+        (name, npoints, ref_s, flat_s))
+      cases
+  in
+  Sw_util.Table.print t;
+  let sum f = List.fold_left (fun a row -> a +. f row) 0.0 rows in
+  let ref_s = sum (fun (_, _, r, _) -> r) and flat_s = sum (fun (_, _, _, f) -> f) in
+  let speedup = ref_s /. flat_s in
+  Printf.printf "aggregate: trees+compile %.4f s, flat %.4f s, %.1fx\n" ref_s flat_s speedup;
+  let equal_ok = !mismatches = 0 and speed_ok = speedup >= 2.0 in
+  if not equal_ok then
+    Printf.printf "GATE FAILED: %d lowerings differ from Engine.compile . Lower_ref.lower\n"
+      !mismatches;
+  if not speed_ok then
+    Printf.printf "GATE FAILED: flat lowering speedup %.2fx < 2x over trees + compile\n" speedup;
+  add_json "lower"
+    (json_obj
+       [
+         ("points_compared", string_of_int !compared);
+         ("mismatches", string_of_int !mismatches);
+         ("reps", string_of_int reps);
+         ("reference_s", json_float ref_s);
+         ("flat_s", json_float flat_s);
+         ("speedup", json_float speedup);
+         ( "rows",
+           json_list
+             (List.map
+                (fun (kernel, npoints, r, f) ->
+                  json_obj
+                    [
+                      ("kernel", Printf.sprintf "%S" kernel);
+                      ("points", string_of_int npoints);
+                      ("reference_s", json_float r);
+                      ("flat_s", json_float f);
+                      ("speedup", json_float (r /. f));
+                    ])
+                rows) );
+       ]);
+  if not (equal_ok && speed_ok) then exit 1
+
+(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -1758,6 +1887,7 @@ let all =
     ("micro", microbench);
     ("engine", engine);
     ("static", static_bench);
+    ("lower", lower_bench);
     ("serve", serve_bench);
     ("shard", shard_bench);
     ("chaos", chaos_bench);

@@ -460,8 +460,13 @@ let asm_cmd =
   let run name scale grain unroll cpes db annotate cpe_index =
     let entry = Sw_workloads.Registry.find_exn name in
     let params = Sw_arch.Params.default in
-    let lowered = lower_entry params entry scale (variant_of entry grain unroll cpes db) in
-    let programs = lowered.Sw_swacc.Lowered.programs in
+    let kernel = entry.Sw_workloads.Registry.build ~scale in
+    let variant = variant_of entry grain unroll cpes db in
+    let programs =
+      match Sw_swacc.Lower_ref.lower params kernel variant with
+      | Ok programs -> programs
+      | Error msg -> invalid_arg (Printf.sprintf "cannot lower %s: %s" name msg)
+    in
     if cpe_index < 0 || cpe_index >= Array.length programs then
       invalid_arg (Printf.sprintf "CPE %d out of range (0..%d)" cpe_index (Array.length programs - 1));
     let annotate = if annotate then Some params else None in

@@ -13,7 +13,7 @@ val run_traced :
   Sink.t ->
   name:string ->
   Sw_sim.Config.t ->
-  Sw_isa.Program.t array ->
+  Sw_isa.Flat.t array ->
   Sw_sim.Metrics.t * Sw_sim.Trace.t
 (** Run, record machine spans (label [name]), DMA-request async
     lifetimes (category ["dma_req"], issue→completion on the issuing

@@ -9,20 +9,17 @@
      [(payload lsl 2) lor kind] instead of boxed [ev] variants, and
      the same (time, global push sequence) FIFO tie-break as the old
      {!Sw_util.Heap} — determinism survives by construction.
-   - Programs are lowered to flat struct-of-arrays [compiled] form —
+   - Programs run in the flat struct-of-arrays {!Sw_isa.Flat} form —
      parallel [int array]/[float array] fields walked sequentially, no
      per-item heap records to pointer-chase — with every constant the
      interpreter would otherwise recompute per execution folded in:
-     per-block costs (interned through the process-wide cache of
-     {!Sw_isa.Schedule}), per-controller transaction histograms
-     (closed-form {!Sw_arch.Mem_req.count_per_cg}, not a per-transaction
-     walk), stream lengths, remote flags, payload bytes.  Tags are
-     remapped to dense ids (the original tag rides along for trace
-     recorders).  Lowered programs are cached process-wide per
-     (program physical identity, home CG, params) — a fleet lowers a
-     shared program once, and repeated runs of the same lowered
-     programs (tuning sweeps, robustness studies, benchmarks) skip
-     lowering and validation entirely.
+     per-block costs, per-controller transaction histograms, stream
+     lengths, payload bytes, dense tag ids (the original tag rides
+     along for trace recorders).  The lowering pass emits this form
+     directly and memoizes it; [compile] builds it from hand-written
+     item trees.  Whether a request touches a remote controller is
+     read off its histogram at admission, so a flat program does not
+     depend on its CPE's home core group.
    - DMA requests are parallel arrays in a pool with a free-list, so
      a request slot is recycled at [Req_done] and steady-state
      simulation allocates nothing on the minor heap.
@@ -40,6 +37,7 @@
    results are bit-identical, not merely close. *)
 
 module Program = Sw_isa.Program
+module Flat = Sw_isa.Flat
 module Mem_req = Sw_arch.Mem_req
 module Cq = Sw_util.Calendar_queue
 
@@ -50,69 +48,44 @@ exception Event_limit
 type run_result = Finished of Metrics.t | Cutoff of { at : float; events : int }
 
 (* ------------------------------------------------------------------ *)
-(* Compiled programs.
+(* Entry checks, shared by [compile] and the run functions so both
+   reject a bad fleet with the reference's messages, in its order. *)
 
-   [Program.item] trees are lowered into a flat pre-order item stream
-   held in parallel arrays (struct-of-arrays): the interpreter reads a
-   handful of scalar array slots per item instead of chasing a pointer
-   to a per-item record, so walking a long program streams through
-   memory instead of cache-missing per item.  A [Repeat]'s body
-   immediately follows it; [c_arg2] holds the body's span in items, so
-   entering a loop is a frame push and skipping it is an index add.
+let check_fleet (config : Config.t) n =
+  let p = config.params in
+  (match Config.validate config with
+  | Ok _ -> ()
+  | Error msg -> raise (Config.Invalid_config ("Engine.run: " ^ msg)));
+  if n = 0 then invalid_arg "Engine.run: no programs";
+  if n > Sw_arch.Params.total_cpes p then
+    invalid_arg
+      (Printf.sprintf "Engine.run: %d programs but only %d CPEs configured" n
+         (Sw_arch.Params.total_cpes p))
 
-   Constants that vary per DMA request (per-controller transaction
-   histogram, stream/tail lengths, remote flag, payload, tags) live in
-   per-request rows indexed by [c_arg2] of the issuing item. *)
+(* ------------------------------------------------------------------ *)
+(* Compiling hand-written programs into {!Sw_isa.Flat} form.
 
-let op_compute = 0
+   [Program.item] trees become a flat pre-order item stream: a
+   [Repeat]'s body immediately follows it and its span is recorded, so
+   entering a loop is a frame push and skipping it an index add.  The
+   lowering pass emits the same form directly; this is the bridge for
+   programs written by hand (tests, the assembler).
 
-let op_dma_issue = 1
+   Items the reference engine treats as complete no-ops (zero-trip
+   computes/repeats — rejected by [Program.validate] anyway) are
+   dropped, but a [Repeat] whose *original* body is non-empty is kept
+   even when its compiled body is empty: the reference charges
+   [loop_overhead] per iteration of such a loop, and so must we. *)
 
-let op_dma_wait = 2
-
-let op_wait_all = 3
-
-let op_gload = 4
-
-let op_repeat = 5
-
-type compiled = {
-  c_op : int array;
-  c_arg : int array;  (* dma issue/wait: dense tag; gload: addr; repeat: trips *)
-  c_arg2 : int array;  (* dma_issue: request row; gload: bytes; repeat: body span *)
-  c_cost : float array;  (* compute: iterated cycles before the slowdown factor *)
-  (* one row per [Dma_issue] item *)
-  r_tag : int array;  (* dense tag *)
-  r_orig : int array;  (* the program's tag, for trace recorders *)
-  r_payload : int array;
-  r_stream : float array;  (* m_total * delta_delay *)
-  r_tail : float array;  (* (m_total - 1) * delta_delay *)
-  r_remote : bool array;  (* touches a non-home controller *)
-  r_permc : int array;  (* transactions per controller, stride n_cgs *)
-  k_nitems : int;
-  k_ntags : int;  (* dense DMA tags used (issue or wait) *)
-  k_depth : int;  (* max Repeat nesting incl. the top-level program *)
-}
-
-let dummy_compiled =
-  { c_op = [||]; c_arg = [||]; c_arg2 = [||]; c_cost = [||]; r_tag = [||]; r_orig = [||];
-    r_payload = [||]; r_stream = [||]; r_tail = [||]; r_remote = [||]; r_permc = [||];
-    k_nitems = 0; k_ntags = 0; k_depth = 1 }
-
-(* per-run memo of block -> cost-table id by physical identity: fleets
-   share block arrays, and the structural hashtable lookup inside
+(* per-compile memo of block -> cost-table id by physical identity:
+   fleets share block arrays, and the structural hashtable lookup inside
    [Table.intern] deep-compares the whole instruction array on a hit *)
 let rec assq_block (block : Sw_isa.Instr.t array) = function
   | [] -> -1
   | (b, id) :: tl -> if b == block then id else assq_block block tl
 
-(* Lowering drops items the reference engine treats as complete no-ops
-   (zero-trip computes/repeats — rejected by [Program.validate] anyway)
-   but keeps a [Repeat] whose *original* body is non-empty even when
-   its compiled body is empty: the reference charges [loop_overhead]
-   per iteration of such a loop, and so must we. *)
-let compile (p : Sw_arch.Params.t) table bcache ~home (prog : Program.t) =
-  let ncgs = p.Sw_arch.Params.n_cgs in
+let compile_program (p : Sw_arch.Params.t) baked table bcache (prog : Program.t) =
+  let ncgs = p.n_cgs in
   (* pass 1: sizes *)
   let n_items = ref 0 and n_dma = ref 0 and max_depth = ref 1 in
   let rec count depth (items : Program.item array) =
@@ -134,28 +107,9 @@ let compile (p : Sw_arch.Params.t) table bcache ~home (prog : Program.t) =
       items
   in
   count 1 prog;
-  let ni = !n_items and nd = !n_dma in
-  let c_op = Array.make ni 0 and c_arg = Array.make ni 0 and c_arg2 = Array.make ni 0 in
-  let c_cost = Array.make ni 0.0 in
-  let r_tag = Array.make nd 0 and r_orig = Array.make nd 0 and r_payload = Array.make nd 0 in
-  let r_stream = Array.make nd 0.0 and r_tail = Array.make nd 0.0 in
-  let r_remote = Array.make nd false in
-  let r_permc = Array.make (nd * ncgs) 0 in
+  let b = Flat.builder baked ~items:!n_items ~rows:!n_dma in
   let pmtmp = Array.make ncgs 0 in
-  (* dense tag interning; tag populations are tiny, an assoc suffices *)
-  let tags = ref [] in
-  let ntags = ref 0 in
-  let tag_id t =
-    match List.assoc_opt t !tags with
-    | Some i -> i
-    | None ->
-        let i = !ntags in
-        tags := (t, i) :: !tags;
-        ntags := i + 1;
-        i
-  in
   (* pass 2: fill, same walk order as pass 1 *)
-  let pos = ref 0 and drow = ref 0 in
   let rec fill (items : Program.item array) =
     Array.iter
       (fun (item : Program.item) ->
@@ -165,135 +119,57 @@ let compile (p : Sw_arch.Params.t) table bcache ~home (prog : Program.t) =
               let id =
                 match assq_block block !bcache with
                 | -1 ->
-                    let id = Sw_isa.Schedule.Table.intern table block in
+                    let id = Sw_isa.Schedule.Table.intern (Lazy.force table) block in
                     bcache := (block, id) :: !bcache;
                     id
                 | id -> id
               in
-              let self = !pos in
-              incr pos;
-              c_op.(self) <- op_compute;
-              c_cost.(self) <- Sw_isa.Schedule.Table.iterated table id ~trips
+              Flat.compute b (Sw_isa.Schedule.Table.iterated (Lazy.force table) id ~trips)
             end
         | Program.Repeat { trips; body } ->
             if trips > 0 && Array.length body > 0 then begin
-              let self = !pos in
-              incr pos;
-              c_op.(self) <- op_repeat;
-              c_arg.(self) <- trips;
+              let self = Flat.repeat_open b ~trips in
               fill body;
-              c_arg2.(self) <- !pos - self - 1
+              Flat.repeat_close b self
             end
         | Program.Dma_issue ({ tag; _ } as d) ->
-            let self = !pos in
-            incr pos;
-            let row = !drow in
-            incr drow;
             Array.fill pmtmp 0 ncgs 0;
             List.iter
               (fun access ->
                 Mem_req.count_per_cg ~trans_size:p.trans_size ~n_cgs:ncgs access pmtmp)
               d.Program.accesses;
-            let m_total = ref 0 in
-            let remote = ref false in
-            for mc = 0 to ncgs - 1 do
-              let m = pmtmp.(mc) in
-              r_permc.((row * ncgs) + mc) <- m;
-              m_total := !m_total + m;
-              if m > 0 && mc <> home then remote := true
-            done;
-            let dt = tag_id tag in
-            c_op.(self) <- op_dma_issue;
-            c_arg.(self) <- dt;
-            c_arg2.(self) <- row;
-            r_tag.(row) <- dt;
-            r_orig.(row) <- tag;
-            r_payload.(row) <- Program.dma_payload d;
-            r_stream.(row) <- float_of_int !m_total *. float_of_int p.delta_delay;
-            r_tail.(row) <- float_of_int ((!m_total - 1) * p.delta_delay);
-            r_remote.(row) <- !remote
-        | Program.Dma_wait tag ->
-            let self = !pos in
-            incr pos;
-            c_op.(self) <- op_dma_wait;
-            c_arg.(self) <- tag_id tag
-        | Program.Dma_wait_all ->
-            let self = !pos in
-            incr pos;
-            c_op.(self) <- op_wait_all
+            Flat.dma_issue b ~tag ~payload:(Program.dma_payload d) pmtmp 0
+        | Program.Dma_wait tag -> Flat.dma_wait b tag
+        | Program.Dma_wait_all -> Flat.wait_all b
         | Program.Gload { addr; bytes } | Program.Gstore { addr; bytes } ->
-            let self = !pos in
-            incr pos;
-            c_op.(self) <- op_gload;
-            c_arg.(self) <- addr;
-            c_arg2.(self) <- bytes)
+            Flat.gload b ~addr ~bytes)
       items
   in
   fill prog;
-  { c_op; c_arg; c_arg2; c_cost; r_tag; r_orig; r_payload; r_stream; r_tail; r_remote;
-    r_permc; k_nitems = ni; k_ntags = !ntags; k_depth = !max_depth }
+  Flat.finish b ~depth:!max_depth
 
-(* ------------------------------------------------------------------ *)
-(* Process-wide cache of lowered programs, keyed by (program physical
-   identity, home CG, params).  A compiled program is pure constants —
-   its content depends only on the key — so reuse across runs cannot
-   change observable behavior; it only skips the lowering (and, since a
-   cached program already passed {!Program.validate} under the same
-   params, re-validation).  Mutex-guarded like the {!Sw_isa.Schedule}
-   block-cost cache: engine runs race from {!Sw_util.Pool} domains.
+let compile (config : Config.t) programs =
+  let p = config.params in
+  check_fleet config (Array.length programs);
+  (* every program validates before any is compiled, so rejection order
+     matches the reference *)
+  Array.iteri
+    (fun i prog ->
+      match Program.validate p prog with
+      | Ok () -> ()
+      | Error msg -> invalid_arg (Printf.sprintf "Engine.run: program %d invalid: %s" i msg))
+    programs;
+  (* per-block costs flow through the process-wide cache of
+     {!Sw_isa.Schedule}, once per distinct block per compile *)
+  let table = lazy (Sw_isa.Schedule.Table.create p) in
+  let bcache = ref [] in
+  let baked = Flat.baked_of p in
+  Array.map (compile_program p baked table bcache) programs
 
-   Entries hash on the program's *structure* ([Hashtbl.hash] examines a
-   bounded prefix, so this is O(1) even for huge programs) but match on
-   physical identity — per-CPE variants of one kernel often collide on
-   the hash, and the bucket scan is then a few pointer compares.  The
-   whole table is flushed when it outgrows [cc_cap]: recompiling a
-   fleet costs microseconds, so a rare full flush beats per-insertion
-   eviction bookkeeping on the run fast path. *)
+(* Flat programs are built by their producers; nothing is cached here. *)
+let clear_compile_cache () = ()
 
-let cc_lock = Mutex.create ()
-
-let cc_cap = 4096
-
-let cc_tbl : (int, (Program.t * Sw_arch.Params.t * compiled) list ref) Hashtbl.t =
-  Hashtbl.create 256
-
-let cc_count = ref 0
-
-let clear_compile_cache () =
-  Mutex.lock cc_lock;
-  Hashtbl.reset cc_tbl;
-  cc_count := 0;
-  Mutex.unlock cc_lock
-
-let cc_key prog home = Hashtbl.hash prog lxor (home * 0x9e3779b9)
-
-let cc_find prog home (p : Sw_arch.Params.t) =
-  Mutex.lock cc_lock;
-  let r =
-    match Hashtbl.find_opt cc_tbl (cc_key prog home) with
-    | None -> None
-    | Some bucket ->
-        let rec go = function
-          | [] -> None
-          | (pr, pp, c) :: tl -> if pr == prog && pp = p then Some c else go tl
-        in
-        go !bucket
-  in
-  Mutex.unlock cc_lock;
-  r
-
-let cc_add prog home p c =
-  Mutex.lock cc_lock;
-  if !cc_count >= cc_cap then begin
-    Hashtbl.reset cc_tbl;
-    cc_count := 0
-  end;
-  let key = cc_key prog home in
-  (match Hashtbl.find_opt cc_tbl key with
-  | Some bucket -> bucket := (prog, p, c) :: !bucket
-  | None -> Hashtbl.add cc_tbl key (ref [ (prog, p, c) ]));
-  incr cc_count;
-  Mutex.unlock cc_lock
+let dummy_flat = Flat.finish (Flat.builder (Flat.baked_of Sw_arch.Params.default) ~items:0 ~rows:0) ~depth:1
 
 (* ------------------------------------------------------------------ *)
 (* Run state: struct-of-arrays so every hot field is an unboxed slot in
@@ -323,7 +199,7 @@ type state = {
   req_recorder : (Trace.dma_req -> unit) option;
   retry_recorder : (Trace.dma_retry -> unit) option;
   (* per-CPE state *)
-  cp_prog : compiled array;
+  cp_prog : Flat.t array;
   cp_home : int array;
   cp_now : float array;
   cp_engine_free : float array;
@@ -351,7 +227,7 @@ type state = {
   mutable rq_cpe : int array;
   mutable rq_attempts : int array;
   mutable rq_issue : float array;
-  mutable rq_comp : compiled array;  (* the request's program *)
+  mutable rq_comp : Flat.t array;  (* the request's program *)
   mutable rq_row : int array;  (* the request's row in it *)
   mutable rq_free : int array;
   mutable rq_free_top : int;
@@ -437,7 +313,7 @@ let rq_alloc st =
       Array.blit a 0 b 0 cap;
       b
     in
-    let b = Array.make ncap dummy_compiled in
+    let b = Array.make ncap dummy_flat in
     Array.blit st.rq_comp 0 b 0 cap;
     st.rq_comp <- b;
     let bf = Array.make ncap 0.0 in
@@ -464,7 +340,7 @@ let rq_alloc st =
    [st.cp_fidx.(i)] etc. on every item.  Unsafe accesses: [i] came out
    of an event code this engine pushed (so [i < n]), item indices are
    bounded by the frame ends the lowering computed, and rows/tags are
-   in range by construction of [compiled]; the differential suite runs
+   in range by construction of [Flat.t]; the differential suite runs
    every op through these paths against the reference. *)
 let rec exec st i k (fstart : int array) (fend : int array) (fidx : int array)
     (frem : int array) d =
@@ -490,13 +366,13 @@ let rec exec st i k (fstart : int array) (fend : int array) (fidx : int array)
     end
     else begin
       Array.unsafe_set fidx lvl (idx + 1);
-      let op = Array.unsafe_get k.c_op idx in
-      if op = op_compute then begin
+      let op = Array.unsafe_get k.Flat.c_op idx in
+      if op = Flat.op_compute then begin
         (* branch on the recorder first: in the None arm the cost is
            only ever used unboxed *)
         (match st.recorder with
         | Some record ->
-            let cost = k.c_cost.(idx) *. st.slowdown.(i) in
+            let cost = k.Flat.c_cost.(idx) *. st.slowdown.(i) in
             if cost > 0.0 then begin
               let t0 = st.cp_now.(i) in
               record { Trace.cpe = i; kind = Trace.Compute; t0; t1 = t0 +. cost }
@@ -504,25 +380,25 @@ let rec exec st i k (fstart : int array) (fend : int array) (fidx : int array)
             st.cp_now.(i) <- st.cp_now.(i) +. cost;
             st.cp_comp.(i) <- st.cp_comp.(i) +. cost
         | None ->
-            let cost = Array.unsafe_get k.c_cost idx *. Array.unsafe_get st.slowdown i in
+            let cost = Array.unsafe_get k.Flat.c_cost idx *. Array.unsafe_get st.slowdown i in
             Array.unsafe_set st.cp_now i (Array.unsafe_get st.cp_now i +. cost);
             Array.unsafe_set st.cp_comp i (Array.unsafe_get st.cp_comp i +. cost));
         exec st i k fstart fend fidx frem d
       end
-      else if op = op_dma_issue then begin
-        let row = Array.unsafe_get k.c_arg2 idx in
+      else if op = Flat.op_dma_issue then begin
+        let row = Array.unsafe_get k.Flat.c_arg2 idx in
         let t_issue = Array.unsafe_get st.cp_now i in
         Array.unsafe_set st.cp_now i (t_issue +. st.k_issue);
         let arrival = fmax (Array.unsafe_get st.cp_engine_free i) (Array.unsafe_get st.cp_now i) in
         (* the engine busies itself for the stream length; refined at
            admission when the grant is later than the arrival *)
-        Array.unsafe_set st.cp_engine_free i (arrival +. Array.unsafe_get k.r_stream row);
-        let tag = Array.unsafe_get k.c_arg idx in
+        Array.unsafe_set st.cp_engine_free i (arrival +. Array.unsafe_get k.Flat.r_stream row);
+        let tag = Array.unsafe_get k.Flat.c_arg idx in
         let outst = Array.unsafe_get st.cp_outst i in
         Array.unsafe_set outst tag (Array.unsafe_get outst tag + 1);
         Array.unsafe_set st.cp_outst_total i (Array.unsafe_get st.cp_outst_total i + 1);
         st.dma_requests <- st.dma_requests + 1;
-        st.payload_bytes <- st.payload_bytes + Array.unsafe_get k.r_payload row;
+        st.payload_bytes <- st.payload_bytes + Array.unsafe_get k.Flat.r_payload row;
         let r = rq_alloc st in
         Array.unsafe_set st.rq_cpe r i;
         Array.unsafe_set st.rq_attempts r 0;
@@ -533,8 +409,8 @@ let rec exec st i k (fstart : int array) (fend : int array) (fidx : int array)
         Cq.push_ref st.events st.pbuf ((r lsl 2) lor ev_admit);
         exec st i k fstart fend fidx frem d
       end
-      else if op = op_dma_wait then begin
-        let tag = Array.unsafe_get k.c_arg idx in
+      else if op = Flat.op_dma_wait then begin
+        let tag = Array.unsafe_get k.Flat.c_arg idx in
         if Array.unsafe_get (Array.unsafe_get st.cp_outst i) tag = 0 then begin
           Array.unsafe_set st.cp_now i (Array.unsafe_get st.cp_now i +. st.k_wait);
           exec st i k fstart fend fidx frem d
@@ -545,7 +421,7 @@ let rec exec st i k (fstart : int array) (fend : int array) (fidx : int array)
           Array.unsafe_set st.cp_blocked_start i (Array.unsafe_get st.cp_now i)
         end
       end
-      else if op = op_wait_all then begin
+      else if op = Flat.op_wait_all then begin
         if Array.unsafe_get st.cp_outst_total i = 0 then begin
           Array.unsafe_set st.cp_now i (Array.unsafe_get st.cp_now i +. st.k_wait);
           exec st i k fstart fend fidx frem d
@@ -555,11 +431,11 @@ let rec exec st i k (fstart : int array) (fend : int array) (fidx : int array)
           Array.unsafe_set st.cp_blocked_start i (Array.unsafe_get st.cp_now i)
         end
       end
-      else if op = op_gload then begin
+      else if op = Flat.op_gload then begin
         st.gload_requests <- st.gload_requests + 1;
-        st.payload_bytes <- st.payload_bytes + Array.unsafe_get k.c_arg2 idx;
+        st.payload_bytes <- st.payload_bytes + Array.unsafe_get k.Flat.c_arg2 idx;
         Array.unsafe_set st.cp_blocked i b_gload;
-        Array.unsafe_set st.cp_gload_addr i (Array.unsafe_get k.c_arg idx);
+        Array.unsafe_set st.cp_gload_addr i (Array.unsafe_get k.Flat.c_arg idx);
         Array.unsafe_set st.cp_blocked_start i (Array.unsafe_get st.cp_now i);
         Array.unsafe_set st.pbuf 0 (Array.unsafe_get st.cp_now i);
         Cq.push_ref st.events st.pbuf ((i lsl 2) lor ev_gload)
@@ -568,12 +444,12 @@ let rec exec st i k (fstart : int array) (fend : int array) (fidx : int array)
         (* op_repeat: overhead on entry, then per re-iteration above;
            the parent resumes past the body *)
         Array.unsafe_set st.cp_now i (Array.unsafe_get st.cp_now i +. st.k_loop);
-        let span = Array.unsafe_get k.c_arg2 idx in
+        let span = Array.unsafe_get k.Flat.c_arg2 idx in
         Array.unsafe_set fidx lvl (idx + 1 + span);
         Array.unsafe_set fstart d (idx + 1);
         Array.unsafe_set fend d (idx + 1 + span);
         Array.unsafe_set fidx d (idx + 1);
-        Array.unsafe_set frem d (Array.unsafe_get k.c_arg idx);
+        Array.unsafe_set frem d (Array.unsafe_get k.Flat.c_arg idx);
         Array.unsafe_set st.cp_depth i (d + 1);
         exec st i k fstart fend fidx frem (d + 1)
       end
@@ -607,11 +483,11 @@ let handle_req_done st r =
   (match st.req_recorder with
   | Some record ->
       record
-        { Trace.req_cpe = st.rq_cpe.(r); req_tag = k.r_orig.(row); t_issue = st.rq_issue.(r);
+        { Trace.req_cpe = st.rq_cpe.(r); req_tag = k.Flat.r_orig.(row); t_issue = st.rq_issue.(r);
           t_done = st.tbuf.(0); req_retries = st.rq_attempts.(r) }
   | None -> ());
   let i = Array.unsafe_get st.rq_cpe r in
-  let tag = Array.unsafe_get k.r_tag row in
+  let tag = Array.unsafe_get k.Flat.r_tag row in
   let outst = Array.unsafe_get st.cp_outst i in
   assert (outst.(tag) > 0);
   Array.unsafe_set outst tag (Array.unsafe_get outst tag - 1);
@@ -639,7 +515,7 @@ let handle_admit st r =
     | Some record ->
         let at = st.tbuf.(0) in
         record
-          { Trace.rt_cpe = i; rt_tag = k.r_orig.(row); rt_attempt = st.rq_attempts.(r);
+          { Trace.rt_cpe = i; rt_tag = k.Flat.r_orig.(row); rt_attempt = st.rq_attempts.(r);
             t_fail = at; t_retry = at +. backoff }
     | None -> ());
     st.pbuf.(0) <- st.tbuf.(0) +. backoff;
@@ -650,13 +526,18 @@ let handle_admit st r =
        [gbuf] accumulates the latest grant starting from [at] *)
     Array.unsafe_set st.gbuf 0 (Array.unsafe_get st.tbuf 0);
     let base = row * st.k_ncgs in
+    let home = Array.unsafe_get st.cp_home i in
+    let remote = ref false in
     for mc = 0 to st.k_ncgs - 1 do
-      let m = Array.unsafe_get k.r_permc (base + mc) in
-      if m > 0 then grant_upd st mc m
+      let m = Array.unsafe_get k.Flat.r_permc (base + mc) in
+      if m > 0 then begin
+        grant_upd st mc m;
+        if mc <> home then remote := true
+      end
     done;
     let lg = Array.unsafe_get st.gbuf 0 in
-    let tail = Array.unsafe_get k.r_tail row in
-    let noc = if Array.unsafe_get k.r_remote row then st.k_noc else 0.0 in
+    let tail = Array.unsafe_get k.Flat.r_tail row in
+    let noc = if !remote then st.k_noc else 0.0 in
     let completion = lg +. tail +. st.k_lbase +. noc in
     (* the CPE's DMA engine is occupied until the stream drains *)
     Array.unsafe_set st.cp_engine_free i
@@ -708,42 +589,20 @@ let rec drain_admits st ~event_budget ~max_events =
 let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
     (config : Config.t) programs =
   let p = config.params in
-  (match Config.validate config with
-  | Ok _ -> ()
-  | Error msg -> raise (Config.Invalid_config ("Engine.run: " ^ msg)));
   let n = Array.length programs in
-  if n = 0 then invalid_arg "Engine.run: no programs";
-  if n > Sw_arch.Params.total_cpes p then
-    invalid_arg
-      (Printf.sprintf "Engine.run: %d programs but only %d CPEs configured" n
-         (Sw_arch.Params.total_cpes p));
-  (* one cache probe per program, shared by the validation skip and the
-     lowering: a compile-cache hit proves the program already validated
-     under these params.  Validation of every program still precedes
-     any lowering so rejection order matches the reference. *)
-  let cached = Array.init n (fun i -> cc_find programs.(i) (i / p.cpes_per_cg) p) in
-  Array.iteri
-    (fun i prog ->
-      if cached.(i) = None then
-        match Program.validate p prog with
-        | Ok () -> ()
-        | Error msg -> invalid_arg (Printf.sprintf "Engine.run: program %d invalid: %s" i msg))
-    programs;
-  (* lower the programs: per-block costs flow through the process-wide
-     cache of {!Sw_isa.Schedule}, and whole lowered programs are reused
-     across runs via the (program, home CG, params) compile cache *)
-  let table = lazy (Sw_isa.Schedule.Table.create p) in
-  let bcache = ref [] in
-  let compiled =
-    Array.init n (fun i ->
-        match cached.(i) with
-        | Some c -> c
-        | None ->
-            let home = i / p.cpes_per_cg in
-            let c = compile p (Lazy.force table) bcache ~home programs.(i) in
-            cc_add programs.(i) home p c;
-            c)
-  in
+  check_fleet config n;
+  (* a flat program is only valid under the parameters it baked in; a
+     fleet built together shares one baked record, checked once *)
+  for i = 0 to n - 1 do
+    let baked = programs.(i).Flat.baked in
+    if i = 0 || baked != programs.(i - 1).Flat.baked then
+      match Flat.mismatch baked p with
+      | None -> ()
+      | Some (field, built, given) ->
+          invalid_arg
+            (Printf.sprintf "Engine.run: program %d was built for %s = %d but the config has %d" i
+               field built given)
+  done;
   let prng = Sw_util.Prng.create config.seed in
   let cp_now = Array.make n 0.0 in
   for i = 0 to n - 1 do
@@ -753,17 +612,16 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
          float_of_int (Sw_util.Prng.int prng (config.start_jitter + 1))
        else 0.0)
   done;
-  let cp_fstart = Array.init n (fun i -> Array.make compiled.(i).k_depth 0) in
-  let cp_fend = Array.init n (fun i -> Array.make compiled.(i).k_depth 0) in
-  let cp_fidx = Array.init n (fun i -> Array.make compiled.(i).k_depth 0) in
-  let cp_frem = Array.init n (fun i -> Array.make compiled.(i).k_depth 0) in
-  let cp_depth = Array.make n 0 in
+  let cp_fstart = Array.init n (fun i -> Array.make programs.(i).Flat.k_depth 0) in
+  let cp_fend = Array.init n (fun i -> Array.make programs.(i).Flat.k_depth 0) in
+  let cp_fidx = Array.init n (fun i -> Array.make programs.(i).Flat.k_depth 0) in
+  let cp_frem = Array.init n (fun i -> Array.make programs.(i).Flat.k_depth 0) in
+  (* every CPE starts inside its top-level frame; an empty stream exits
+     it at once, exactly as an empty program finishes at once *)
+  let cp_depth = Array.make n 1 in
   for i = 0 to n - 1 do
-    if Array.length programs.(i) > 0 then begin
-      cp_fend.(i).(0) <- compiled.(i).k_nitems;
-      cp_frem.(i).(0) <- 1;
-      cp_depth.(i) <- 1
-    end
+    cp_fend.(i).(0) <- Flat.length programs.(i);
+    cp_frem.(i).(0) <- 1
   done;
   let faults = config.Config.faults in
   let slowdown = Array.make n 1.0 in
@@ -777,7 +635,7 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
       recorder;
       req_recorder;
       retry_recorder;
-      cp_prog = compiled;
+      cp_prog = programs;
       cp_home = Array.init n (fun i -> i / p.cpes_per_cg);
       cp_now;
       cp_engine_free = Array.make n 0.0;
@@ -790,7 +648,7 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
       cp_blocked_tag = Array.make n 0;
       cp_blocked_start = Array.make n 0.0;
       cp_gload_addr = Array.make n 0;
-      cp_outst = Array.init n (fun i -> Array.make compiled.(i).k_ntags 0);
+      cp_outst = Array.init n (fun i -> Array.make programs.(i).Flat.k_ntags 0);
       cp_outst_total = Array.make n 0;
       cp_fstart;
       cp_fend;
@@ -803,7 +661,7 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
       rq_cpe = Array.make rq_cap 0;
       rq_attempts = Array.make rq_cap 0;
       rq_issue = Array.make rq_cap 0.0;
-      rq_comp = Array.make rq_cap dummy_compiled;
+      rq_comp = Array.make rq_cap dummy_flat;
       rq_row = Array.make rq_cap 0;
       rq_free = Array.init rq_cap (fun k -> rq_cap - 1 - k);
       rq_free_top = rq_cap;

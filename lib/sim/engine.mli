@@ -1,7 +1,7 @@
 (** Discrete-event, transaction-level simulator of SW26010 core groups.
 
     This is the repository's stand-in for the real hardware: it executes
-    one {!Sw_isa.Program.t} per active CPE and measures wall-clock cycles.
+    one {!Sw_isa.Flat.t} per active CPE and measures wall-clock cycles.
     Mechanisms modelled:
 
     - per-CPE in-order execution using the static schedule for compute
@@ -30,18 +30,29 @@ exception Deadlock of string
 exception Event_limit
 (** Raised when [max_events] is exceeded. *)
 
-val run : Config.t -> Sw_isa.Program.t array -> Metrics.t
+val compile : Config.t -> Sw_isa.Program.t array -> Sw_isa.Flat.t array
+(** [compile config programs] converts hand-written programs into the
+    flat form the run functions execute — the one bridge from
+    {!Sw_isa.Program.t} trees (the lowering pass emits flat programs
+    directly).  It rejects exactly what the reference engine rejects,
+    in the same order and with the same messages: an invalid [config]
+    ({!Config.Invalid_config}), no programs, more programs than CPEs,
+    and then the first program failing {!Sw_isa.Program.validate}
+    ([Invalid_argument]).  Block costs are scheduled once per distinct
+    block through the {!Sw_isa.Schedule} cache. *)
+
+val run : Config.t -> Sw_isa.Flat.t array -> Metrics.t
 (** [run config programs] simulates [programs] (element [i] runs on
-    CPE [i], which belongs to core group [i / cpes_per_cg]).  Programs
-    must pass {!Sw_isa.Program.validate}. *)
+    CPE [i], which belongs to core group [i / cpes_per_cg]).
+    @raise Invalid_argument for no programs, more programs than CPEs,
+    or a program built for different parameters than [config.params]
+    (the message names the first differing {!Sw_isa.Flat.baked}
+    field). *)
 
 val clear_compile_cache : unit -> unit
-(** Empty the process-wide cache of lowered programs.  Programs are
-    lowered once per (program physical identity, home core group,
-    params) and reused across runs — a pure memoization with no
-    observable effect beyond speed (and correspondingly fewer lookups
-    in the {!Sw_isa.Schedule} block-cost cache on warm runs).  Only
-    benchmarks and tests that measure cold-start behavior need this. *)
+(** A no-op, kept for callers that cleared the engine's former
+    compile cache: flat programs are built once by their producer
+    (the lowering pass memoizes them) and the engine caches nothing. *)
 
 (** Outcome of a budgeted run: either complete metrics, or a typed
     abandonment carrying how far the run got. *)
@@ -57,7 +68,7 @@ val run_budget :
   ?cutoff:float ->
   ?event_budget:int ->
   Config.t ->
-  Sw_isa.Program.t array ->
+  Sw_isa.Flat.t array ->
   run_result
 (** {!run} with early exit.  [cutoff] abandons the run as soon as the
     event clock strictly exceeds it — a run whose makespan exactly
@@ -69,13 +80,13 @@ val run_budget :
     it returns [Cutoff], not an exception.  Without either option the
     result is always [Finished]. *)
 
-val run_traced : Config.t -> Sw_isa.Program.t array -> Metrics.t * Trace.t
+val run_traced : Config.t -> Sw_isa.Flat.t array -> Metrics.t * Trace.t
 (** Like {!run}, additionally recording per-CPE activity spans (compute,
     DMA stalls, Gload stalls) for {!Trace.render}. *)
 
 val run_traced_full :
   Config.t ->
-  Sw_isa.Program.t array ->
+  Sw_isa.Flat.t array ->
   Metrics.t * Trace.t * Trace.dma_req list * Trace.dma_retry list
 (** {!run_traced} plus the lifetime (issue clock to completion clock)
     of every DMA request, in completion order — the async-arrow layer

@@ -1,4 +1,4 @@
-module Program = Sw_isa.Program
+module Flat = Sw_isa.Flat
 module Mem_req = Sw_arch.Mem_req
 
 let spm_required kernel (variant : Kernel.variant) =
@@ -9,94 +9,6 @@ let ceil_div a b = (a + b - 1) / b
 
 (* scalar iterations -> vector iterations *)
 let vector_iters kernel n = ceil_div n kernel.Kernel.vector_width
-
-(* Compute items for the elements [first, first+n): per-element Gloads
-   interleaved with per-element compute when the kernel is irregular,
-   otherwise a single fused compute over the chunk. *)
-let compute_items kernel ~(blocks : Sw_isa.Instr.t array * Sw_isa.Instr.t array) ~unroll ~first ~n =
-  let block_u, block_r = blocks in
-  let per_elem_trips = kernel.Kernel.body_trips_per_element in
-  let mk_compute total_scalar_iters =
-    let total_iters = vector_iters kernel total_scalar_iters in
-    let trips_u, rem = Codegen.trips_for ~total_iters ~unroll in
-    let items = ref [] in
-    if trips_u > 0 then items := Program.Compute { block = block_u; trips = trips_u } :: !items;
-    if rem > 0 then items := Program.Compute { block = block_r; trips = rem } :: !items;
-    List.rev !items
-  in
-  match kernel.Kernel.gloads with
-  | None -> mk_compute (n * per_elem_trips)
-  | Some g ->
-      List.concat
-        (List.init n (fun k ->
-             let elem = first + k in
-             let loads =
-               List.init (g.Kernel.count_for elem) (fun j ->
-                   Program.Gload { addr = g.Kernel.addr_for elem j; bytes = g.Kernel.g_bytes })
-             in
-             loads @ mk_compute per_elem_trips))
-
-(* Register-spill Gloads the native compiler emits at small copy
-   granularities (Section V-C1); addresses fall in the first array's
-   chunk region. *)
-let spill_items kernel ~grain ~first =
-  match (kernel.Kernel.spill_gloads, kernel.Kernel.copies) with
-  | None, _ | _, [] -> []
-  | Some f, c :: _ ->
-      let count = Stdlib.max 0 (f grain) in
-      let base = c.Kernel.base_addr + (first * c.Kernel.bytes_per_elem) in
-      List.init count (fun j -> Program.Gload { addr = base + (j * 8); bytes = 8 })
-
-(* Synchronous schedule: copy-in, wait, compute, copy-out, wait. *)
-(* All transfers of one copy intrinsic form one logical DMA request. *)
-let group_issue kernel ~pred ~dir ~tag (first, n) =
-  let accesses =
-    List.filter_map
-      (fun c -> if pred c then Some (Kernel.chunk_access c ~first ~n) else None)
-      kernel.Kernel.copies
-  in
-  if accesses = [] then [] else [ Program.Dma_issue { dir; accesses; tag } ]
-
-let sync_chunk kernel ~blocks ~unroll (first, n) =
-  let ins = group_issue kernel ~pred:Kernel.copied_in ~dir:Program.Get ~tag:0 (first, n) in
-  let outs = group_issue kernel ~pred:Kernel.copied_out ~dir:Program.Put ~tag:0 (first, n) in
-  let wait_in = if ins = [] then [] else [ Program.Dma_wait 0 ] in
-  let wait_out = if outs = [] then [] else [ Program.Dma_wait 0 ] in
-  ins @ wait_in
-  @ spill_items kernel ~grain:n ~first
-  @ compute_items kernel ~blocks ~unroll ~first ~n
-  @ outs @ wait_out
-
-(* Double-buffered schedule over a CPE's chunk list.  Buffer b of chunk k
-   is k mod 2; tags: in_tag b = b, out_tag b = 2 + b. *)
-let double_buffered_items kernel ~blocks ~unroll chunks =
-  let in_tag b = b and out_tag b = 2 + b in
-  let issues ~pred ~dir ~tag chunk = group_issue kernel ~pred ~dir ~tag chunk in
-  let chunks = Array.of_list chunks in
-  let nchunks = Array.length chunks in
-  if nchunks = 0 then []
-  else begin
-    let items = ref [] in
-    let push is = items := List.rev_append is !items in
-    push (issues ~pred:Kernel.copied_in ~dir:Program.Get ~tag:(in_tag 0) chunks.(0));
-    for k = 0 to nchunks - 1 do
-      let b = k mod 2 in
-      push [ Program.Dma_wait (in_tag b) ];
-      if k + 1 < nchunks then begin
-        let b' = (k + 1) mod 2 in
-        (* the next copy-in reuses buffer b'; its previous copy-out must
-           have drained first *)
-        push [ Program.Dma_wait (out_tag b') ];
-        push (issues ~pred:Kernel.copied_in ~dir:Program.Get ~tag:(in_tag b') chunks.(k + 1))
-      end;
-      let first, n = chunks.(k) in
-      push (spill_items kernel ~grain:n ~first);
-      push (compute_items kernel ~blocks ~unroll ~first ~n);
-      push (issues ~pred:Kernel.copied_out ~dir:Program.Put ~tag:(out_tag b) chunks.(k))
-    done;
-    push [ Program.Dma_wait_all ];
-    List.rev !items
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Bounded memo tables.
@@ -408,23 +320,240 @@ let compile params kernel (variant : Kernel.variant) =
 let summarize params kernel variant =
   Result.map (fun (_, _, _, summary) -> summary) (compile params kernel variant)
 
+(* ------------------------------------------------------------------ *)
+(* Flat emission.  [lower] writes each CPE's program straight into the
+   engine's struct-of-arrays form ({!Sw_isa.Flat}), in the item order
+   of the reference lowering ({!Lower_ref.lower}): per chunk, copy-in
+   and wait, compiler spills, compute (per-element Gloads interleaved
+   for irregular kernels), copy-out and wait; the double-buffered
+   schedule prefetches the next chunk's copy-in into the other buffer
+   before computing.  Arrays are sized from closed-form counts, compute
+   costs are scheduled once per lowering, and DMA rows come from a
+   residue table in the grain half. *)
+
+(* DMA rows, the grain half's share of the executable form.  A full
+   chunk's request depends on its index k only through its arrays'
+   start addresses mod trans_size * n_cgs (which controller each
+   transaction routes to), and those advance by a fixed step per
+   chunk, so the rows repeat with period (trans_size * n_cgs) / gcd
+   (steps, trans_size * n_cgs) — the DMA histogram's argument with the
+   controllers added.  One period of rows plus the short tail chunk's
+   serves every CPE, unroll and buffering choice.  Row [2r] is residue
+   r's copy-in, [2r + 1] its copy-out; the tail's follow the residues. *)
+type dma_rows = {
+  period : int;
+  tail_row : int;  (* the tail chunk's copy-in row *)
+  payload : int array;
+  counts : int array;  (* transactions per controller, n_cgs per row *)
+}
+
+let dma_rows ~trans_size ~n_cgs kernel ~grain =
+  let copies = kernel.Kernel.copies in
+  let span = trans_size * n_cgs in
+  let step c =
+    match (c.Kernel.freq, c.Kernel.layout) with
+    | Kernel.Per_chunk, _ -> 0
+    | Kernel.Per_element, Kernel.Contiguous -> grain * c.Kernel.bytes_per_elem mod span
+    | Kernel.Per_element, Kernel.Strided stride -> grain * stride mod span
+  in
+  let period = span / List.fold_left (fun acc c -> gcd acc (step c)) span copies in
+  let n_elements = kernel.Kernel.n_elements in
+  let full = n_elements / grain and tail = n_elements mod grain in
+  let residues = Stdlib.min period full in
+  let nrows = 2 * (residues + if tail > 0 then 1 else 0) in
+  let payload = Array.make nrows 0 and counts = Array.make (nrows * n_cgs) 0 in
+  let per_cg = Array.make n_cgs 0 in
+  let fill row ~pred ~first ~n =
+    Array.fill per_cg 0 n_cgs 0;
+    List.iter
+      (fun c ->
+        if pred c then begin
+          let access = Kernel.chunk_access c ~first ~n in
+          payload.(row) <- payload.(row) + Mem_req.payload_bytes access;
+          Mem_req.count_per_cg ~trans_size ~n_cgs access per_cg
+        end)
+      copies;
+    Array.blit per_cg 0 counts (row * n_cgs) n_cgs
+  in
+  let chunk row ~first ~n =
+    fill row ~pred:Kernel.copied_in ~first ~n;
+    fill (row + 1) ~pred:Kernel.copied_out ~first ~n
+  in
+  for r = 0 to residues - 1 do
+    chunk (2 * r) ~first:(r * grain) ~n:grain
+  done;
+  if tail > 0 then chunk (2 * residues) ~first:(full * grain) ~n:tail;
+  { period; tail_row = 2 * residues; payload; counts }
+
+(* Of the machine parameters only the transaction size and the
+   controller count matter here. *)
+module Rows_memo = Memo (struct
+  type t = Kernel.t * int * int * int
+
+  let equal (ka, ta, ca, ga) (kb, tb, cb, gb) = ka == kb && ta = tb && ca = cb && ga = gb
+
+  let hash (k, t, c, g) = Hashtbl.hash (kernel_hash k, t, c, g)
+end)
+
+let rows_memo = Rows_memo.create 256
+
+let dma_rows_of (params : Sw_arch.Params.t) kernel ~grain =
+  let trans_size = params.trans_size and n_cgs = params.n_cgs in
+  Rows_memo.find_or_add rows_memo (kernel, trans_size, n_cgs, grain) (fun () ->
+      dma_rows ~trans_size ~n_cgs kernel ~grain)
+
+(* The simulator refuses Gload/Gstore requests wider than the machine
+   allows; flat programs skip that validation, so lowering refuses. *)
+let check_gloads (params : Sw_arch.Params.t) kernel =
+  let widest =
+    Stdlib.max
+      (match kernel.Kernel.gloads with Some g -> g.Kernel.g_bytes | None -> 0)
+      (if kernel.Kernel.spill_gloads = None then 0 else 8)
+  in
+  if widest > params.gload_max_bytes then
+    Error
+      (Printf.sprintf "Gload/Gstore of %d bytes exceeds the %d-byte limit" widest
+         params.gload_max_bytes)
+  else Ok ()
+
+(* Compute items for [scalar_iters] iterations: the unrolled block's
+   cost, then the remainder block's, each only when it runs. *)
+let compute_costs kernel ~unroll ((first_u, steady_u), (first_r, steady_r)) scalar_iters =
+  let trips_u, rem = Codegen.trips_for ~total_iters:(vector_iters kernel scalar_iters) ~unroll in
+  let cost first steady trips = first +. (float_of_int (trips - 1) *. steady) in
+  Array.of_list
+    ((if trips_u > 0 then [ cost first_u steady_u trips_u ] else [])
+    @ if rem > 0 then [ cost first_r steady_r rem ] else [])
+
+let emit params kernel (variant : Kernel.variant) ~active (block_u, block_r) =
+  let grain = variant.grain in
+  let n_elements = kernel.Kernel.n_elements in
+  let nchunks = ceil_div n_elements grain in
+  let full = n_elements / grain and tail = n_elements mod grain in
+  let rows = dma_rows_of params kernel ~grain in
+  let ncgs = params.Sw_arch.Params.n_cgs in
+  let baked = Flat.baked_of params in
+  let has_in = List.exists Kernel.copied_in kernel.Kernel.copies in
+  let has_out = List.exists Kernel.copied_out kernel.Kernel.copies in
+  let hi = Bool.to_int has_in and ho = Bool.to_int has_out in
+  let costs =
+    ( Sw_isa.Schedule.block_costs params block_u,
+      Sw_isa.Schedule.block_costs params block_r )
+  in
+  let per_elem = kernel.Kernel.body_trips_per_element in
+  let costs_of n = compute_costs kernel ~unroll:variant.unroll costs (n * per_elem) in
+  let full_costs = costs_of grain and tail_costs = if tail > 0 then costs_of tail else [||] in
+  let elem_costs = costs_of 1 in
+  let spills n =
+    match (kernel.Kernel.spill_gloads, kernel.Kernel.copies) with
+    | None, _ | _, [] -> 0
+    | Some f, _ -> Stdlib.max 0 (f n)
+  in
+  let full_spills = spills grain and tail_spills = if tail > 0 then spills tail else 0 in
+  (* spill addresses fall in the first array's chunk region *)
+  let spill_base, spill_stride =
+    match kernel.Kernel.copies with
+    | c :: _ -> (c.Kernel.base_addr, c.Kernel.bytes_per_elem)
+    | [] -> (0, 0)
+  in
+  let prefix = Option.map (gload_prefix kernel) kernel.Kernel.gloads in
+  let program cpe =
+    let nch = (nchunks / active) + if cpe < nchunks mod active then 1 else 0 in
+    let has_tail = tail > 0 && (nchunks - 1) mod active = cpe in
+    let nfull = nch - Bool.to_int has_tail in
+    (* items per chunk besides its DMA traffic: spills and compute *)
+    let body_items =
+      (nfull * full_spills)
+      + (if has_tail then tail_spills else 0)
+      +
+      match prefix with
+      | None -> (nfull * Array.length full_costs) + if has_tail then Array.length tail_costs else 0
+      | Some prefix ->
+          let gloads = ref 0 in
+          for j = 0 to nch - 1 do
+            let first = (cpe + (j * active)) * grain in
+            gloads := !gloads + prefix.(Stdlib.min n_elements (first + grain)) - prefix.(first)
+          done;
+          let elems = (nfull * grain) + if has_tail then tail else 0 in
+          !gloads + (elems * Array.length elem_costs)
+    in
+    let dma_items =
+      if variant.double_buffer then hi + (nch * (1 + ho)) + ((nch - 1) * (1 + hi)) + 1
+      else nch * 2 * (hi + ho)
+    in
+    let b = Flat.builder baked ~items:(body_items + dma_items) ~rows:(nch * (hi + ho)) in
+    let row_of k = if k >= full then rows.tail_row else 2 * (k mod rows.period) in
+    let issue ~tag row = Flat.dma_issue b ~tag ~payload:rows.payload.(row) rows.counts (row * ncgs) in
+    let copy_in ~tag k = if has_in then issue ~tag (row_of k) in
+    let copy_out ~tag k = if has_out then issue ~tag (row_of k + 1) in
+    let computes costs =
+      for i = 0 to Array.length costs - 1 do
+        Flat.compute b costs.(i)
+      done
+    in
+    let body k =
+      let first = k * grain in
+      let n = Stdlib.min grain (n_elements - first) in
+      let spill_addr = spill_base + (first * spill_stride) in
+      for j = 0 to (if n = grain then full_spills else tail_spills) - 1 do
+        Flat.gload b ~addr:(spill_addr + (j * 8)) ~bytes:8
+      done;
+      match kernel.Kernel.gloads with
+      | None -> computes (if n = grain then full_costs else tail_costs)
+      | Some g ->
+          for elem = first to first + n - 1 do
+            for j = 0 to g.Kernel.count_for elem - 1 do
+              Flat.gload b ~addr:(g.Kernel.addr_for elem j) ~bytes:g.Kernel.g_bytes
+            done;
+            computes elem_costs
+          done
+    in
+    if variant.double_buffer then begin
+      (* buffer of the j-th chunk is j mod 2; tags: in = buffer,
+         out = 2 + buffer *)
+      copy_in ~tag:0 cpe;
+      for j = 0 to nch - 1 do
+        let k = cpe + (j * active) and buf = j land 1 in
+        Flat.dma_wait b buf;
+        if j + 1 < nch then begin
+          (* the next copy-in reuses the other buffer; its previous
+             copy-out must have drained first *)
+          Flat.dma_wait b (3 - buf);
+          copy_in ~tag:(1 - buf) (k + active)
+        end;
+        body k;
+        copy_out ~tag:(2 + buf) k
+      done;
+      Flat.wait_all b
+    end
+    else
+      for j = 0 to nch - 1 do
+        let k = cpe + (j * active) in
+        if has_in then begin
+          copy_in ~tag:0 k;
+          Flat.dma_wait b 0
+        end;
+        body k;
+        if has_out then begin
+          copy_out ~tag:0 k;
+          Flat.dma_wait b 0
+        end
+      done;
+    Flat.finish b ~depth:1
+  in
+  Array.init active program
+
 let lower params kernel (variant : Kernel.variant) =
-  Result.map
-    (fun (spm, active, blocks, summary) ->
-      let program cpe =
-        let chunks = Kernel.chunks_of_cpe kernel ~grain:variant.grain ~active_cpes:active ~cpe in
-        Array.of_list
-          (if variant.double_buffer then
-             double_buffered_items kernel ~blocks ~unroll:variant.unroll chunks
-           else List.concat_map (sync_chunk kernel ~blocks ~unroll:variant.unroll) chunks)
-      in
-      {
-        Lowered.kernel_name = kernel.Kernel.name;
-        programs = Array.init active program;
-        summary;
-        spm_bytes_per_cpe = spm;
-      })
-    (compile params kernel variant)
+  Result.bind (compile params kernel variant) (fun (spm, active, blocks, summary) ->
+      Result.map
+        (fun () ->
+          {
+            Lowered.kernel_name = kernel.Kernel.name;
+            programs = emit params kernel variant ~active blocks;
+            summary;
+            spm_bytes_per_cpe = spm;
+          })
+        (check_gloads params kernel))
 
 let lower_exn params kernel variant =
   match lower params kernel variant with
@@ -452,6 +581,7 @@ let lower_memo = Lower_memo.create 64
 
 let clear_cache () =
   Lower_memo.clear lower_memo;
+  Rows_memo.clear rows_memo;
   Unroll_memo.clear unroll_memo;
   Grain_memo.clear grain_memo;
   Prefix_memo.clear prefix_memo

@@ -1,4 +1,4 @@
-(** Lowering: kernel + tuning variant to per-CPE programs.
+(** Lowering: kernel + tuning variant to per-CPE executable programs.
 
     Mirrors the SWACC compiler's CPE-side code generation (Figure 3 of
     the paper): per chunk, issue one DMA per consecutive region of each
@@ -14,6 +14,19 @@
 
 val lower :
   Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> (Lowered.t, string) result
+(** The summary plus one {!Sw_isa.Flat.t} per active CPE, emitted
+    straight into the simulator's executable form: no item trees, no
+    validation pass, no second compile walk.  The programs are built
+    from the same memoized halves as the summary — compute costs are
+    scheduled once per lowering from the unroll half's blocks, and DMA
+    rows are copied from a residue table in the grain half (one period
+    of full-chunk rows per (kernel, trans_size, n_cgs, grain), plus the
+    tail chunk's), with arrays sized from closed-form counts.  The
+    result is structurally equal to
+    [Sw_sim.Engine.compile] applied to {!Lower_ref.lower}'s item trees;
+    the differential tests and [bench lower] check it.  Beyond {!check},
+    a kernel whose Gloads are wider than [gload_max_bytes] is refused
+    ({!check_gloads}). *)
 
 val lower_exn : Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> Lowered.t
 (** @raise Invalid_argument when {!lower} returns [Error]. *)
@@ -42,6 +55,12 @@ val check : Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> (int, string) resu
     than the machine has, and a chunk (doubled under double buffering)
     that fits the SPM.  [Ok] carries the SPM bytes needed. *)
 
+val check_gloads : Sw_arch.Params.t -> Kernel.t -> (unit, string) result
+(** Refuse a kernel whose Gloads (irregular, or 8-byte compiler spills)
+    exceed the machine's [gload_max_bytes] — the one check the
+    simulator's program validation made that lowering must now make
+    itself. *)
+
 val spm_required : Kernel.t -> Kernel.variant -> int
 (** SPM bytes the variant needs (doubled under double buffering). *)
 
@@ -65,7 +84,7 @@ val lower_cached_exn : Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> Lowered
 (** @raise Invalid_argument when {!lower_cached} returns [Error]. *)
 
 val clear_cache : unit -> unit
-(** Drop all cached lowerings and summary halves, and zero the
+(** Drop all cached lowerings, summary halves and DMA rows, and zero the
     lowering hit/miss counters (cold-run benchmarking). *)
 
 val cache_stats : unit -> int * int

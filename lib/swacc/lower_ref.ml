@@ -2,6 +2,7 @@
    copied array, every strided row.  See lower_ref.mli. *)
 
 module Mem_req = Sw_arch.Mem_req
+module Program = Sw_isa.Program
 
 (* Alignment-aware transaction count, one row at a time. *)
 let transactions ~trans_size access =
@@ -133,3 +134,117 @@ let summarize params kernel (variant : Kernel.variant) =
       build_summary params kernel ~blocks ~unroll:variant.unroll ~active
         ~double_buffer:variant.double_buffer per_cpe_chunks)
     (Lower.check params kernel variant)
+
+(* ------------------------------------------------------------------ *)
+(* The item-tree lowering: per-CPE programs as {!Sw_isa.Program} item
+   lists, built chunk by chunk with fresh code blocks. *)
+
+(* Compute items for the elements [first, first+n): per-element Gloads
+   interleaved with per-element compute when the kernel is irregular,
+   otherwise a single fused compute over the chunk. *)
+let compute_items kernel ~(blocks : Sw_isa.Instr.t array * Sw_isa.Instr.t array) ~unroll ~first ~n =
+  let block_u, block_r = blocks in
+  let per_elem_trips = kernel.Kernel.body_trips_per_element in
+  let mk_compute total_scalar_iters =
+    let total_iters = vector_iters kernel total_scalar_iters in
+    let trips_u, rem = Codegen.trips_for ~total_iters ~unroll in
+    let items = ref [] in
+    if trips_u > 0 then items := Program.Compute { block = block_u; trips = trips_u } :: !items;
+    if rem > 0 then items := Program.Compute { block = block_r; trips = rem } :: !items;
+    List.rev !items
+  in
+  match kernel.Kernel.gloads with
+  | None -> mk_compute (n * per_elem_trips)
+  | Some g ->
+      List.concat
+        (List.init n (fun k ->
+             let elem = first + k in
+             let loads =
+               List.init (g.Kernel.count_for elem) (fun j ->
+                   Program.Gload { addr = g.Kernel.addr_for elem j; bytes = g.Kernel.g_bytes })
+             in
+             loads @ mk_compute per_elem_trips))
+
+(* Register-spill Gloads the native compiler emits at small copy
+   granularities (Section V-C1); addresses fall in the first array's
+   chunk region. *)
+let spill_items kernel ~grain ~first =
+  match (kernel.Kernel.spill_gloads, kernel.Kernel.copies) with
+  | None, _ | _, [] -> []
+  | Some f, c :: _ ->
+      let count = Stdlib.max 0 (f grain) in
+      let base = c.Kernel.base_addr + (first * c.Kernel.bytes_per_elem) in
+      List.init count (fun j -> Program.Gload { addr = base + (j * 8); bytes = 8 })
+
+(* Synchronous schedule: copy-in, wait, compute, copy-out, wait. *)
+(* All transfers of one copy intrinsic form one logical DMA request. *)
+let group_issue kernel ~pred ~dir ~tag (first, n) =
+  let accesses =
+    List.filter_map
+      (fun c -> if pred c then Some (Kernel.chunk_access c ~first ~n) else None)
+      kernel.Kernel.copies
+  in
+  if accesses = [] then [] else [ Program.Dma_issue { dir; accesses; tag } ]
+
+let sync_chunk kernel ~blocks ~unroll (first, n) =
+  let ins = group_issue kernel ~pred:Kernel.copied_in ~dir:Program.Get ~tag:0 (first, n) in
+  let outs = group_issue kernel ~pred:Kernel.copied_out ~dir:Program.Put ~tag:0 (first, n) in
+  let wait_in = if ins = [] then [] else [ Program.Dma_wait 0 ] in
+  let wait_out = if outs = [] then [] else [ Program.Dma_wait 0 ] in
+  ins @ wait_in
+  @ spill_items kernel ~grain:n ~first
+  @ compute_items kernel ~blocks ~unroll ~first ~n
+  @ outs @ wait_out
+
+(* Double-buffered schedule over a CPE's chunk list.  Buffer b of chunk k
+   is k mod 2; tags: in_tag b = b, out_tag b = 2 + b. *)
+let double_buffered_items kernel ~blocks ~unroll chunks =
+  let in_tag b = b and out_tag b = 2 + b in
+  let issues ~pred ~dir ~tag chunk = group_issue kernel ~pred ~dir ~tag chunk in
+  let chunks = Array.of_list chunks in
+  let nchunks = Array.length chunks in
+  if nchunks = 0 then []
+  else begin
+    let items = ref [] in
+    let push is = items := List.rev_append is !items in
+    push (issues ~pred:Kernel.copied_in ~dir:Program.Get ~tag:(in_tag 0) chunks.(0));
+    for k = 0 to nchunks - 1 do
+      let b = k mod 2 in
+      push [ Program.Dma_wait (in_tag b) ];
+      if k + 1 < nchunks then begin
+        let b' = (k + 1) mod 2 in
+        (* the next copy-in reuses buffer b'; its previous copy-out must
+           have drained first *)
+        push [ Program.Dma_wait (out_tag b') ];
+        push (issues ~pred:Kernel.copied_in ~dir:Program.Get ~tag:(in_tag b') chunks.(k + 1))
+      end;
+      let first, n = chunks.(k) in
+      push (spill_items kernel ~grain:n ~first);
+      push (compute_items kernel ~blocks ~unroll ~first ~n);
+      push (issues ~pred:Kernel.copied_out ~dir:Program.Put ~tag:(out_tag b) chunks.(k))
+    done;
+    push [ Program.Dma_wait_all ];
+    List.rev !items
+  end
+
+let lower params kernel (variant : Kernel.variant) =
+  Result.bind (Lower.check params kernel variant) (fun _spm ->
+      Result.map
+        (fun () ->
+          let active =
+            Kernel.effective_active_cpes kernel ~grain:variant.grain ~requested:variant.active_cpes
+          in
+          let gen unroll =
+            Codegen.block ~ialu_per_access:kernel.Kernel.ialu_per_access ~unroll kernel.Kernel.body
+          in
+          let block_u = gen variant.unroll in
+          let blocks = (block_u, if variant.unroll = 1 then block_u else gen 1) in
+          Array.init active (fun cpe ->
+              let chunks =
+                Kernel.chunks_of_cpe kernel ~grain:variant.grain ~active_cpes:active ~cpe
+              in
+              Array.of_list
+                (if variant.double_buffer then
+                   double_buffered_items kernel ~blocks ~unroll:variant.unroll chunks
+                 else List.concat_map (sync_chunk kernel ~blocks ~unroll:variant.unroll) chunks)))
+        (Lower.check_gloads params kernel))

@@ -14,7 +14,7 @@ type summary = {
 
 type t = {
   kernel_name : string;
-  programs : Sw_isa.Program.t array;
+  programs : Sw_isa.Flat.t array;
   summary : summary;
   spm_bytes_per_cpe : int;
 }
@@ -32,7 +32,7 @@ let avg_mrt s =
   end
 
 let total_payload_bytes t =
-  Array.fold_left (fun acc p -> acc + Sw_isa.Program.dma_payload_bytes p) 0 t.programs
+  Array.fold_left (fun acc p -> acc + Sw_isa.Flat.payload_bytes p) 0 t.programs
 
 let pp_summary fmt s =
   Format.fprintf fmt "@[<v>active CPEs : %d@,DMA requests: %.1f (avg MRT %.2f)@," s.active_cpes

@@ -37,7 +37,7 @@ type summary = {
 
 type t = {
   kernel_name : string;
-  programs : Sw_isa.Program.t array;  (** One per active CPE. *)
+  programs : Sw_isa.Flat.t array;  (** One per active CPE. *)
   summary : summary;
   spm_bytes_per_cpe : int;  (** SPM footprint of the chosen variant. *)
 }
@@ -49,6 +49,6 @@ val avg_mrt : summary -> float
 (** Request-weighted average MRT (Equation 12); 1.0 when no DMA. *)
 
 val total_payload_bytes : t -> int
-(** DMA payload summed over all programs. *)
+(** DMA payload summed over all programs' DMA rows. *)
 
 val pp_summary : Format.formatter -> summary -> unit

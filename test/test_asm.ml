@@ -108,11 +108,11 @@ let test_hex_addresses () =
 let test_lowered_program_roundtrip () =
   (* a real lowered kernel's program must survive the round trip *)
   let e = Sw_workloads.Registry.find_exn "hotspot" in
-  let lowered =
-    Sw_swacc.Lower.lower_exn p (e.Sw_workloads.Registry.build ~scale:0.25)
-      e.Sw_workloads.Registry.variant
+  let prog =
+    (Result.get_ok
+       (Sw_swacc.Lower_ref.lower p (e.Sw_workloads.Registry.build ~scale:0.25)
+          e.Sw_workloads.Registry.variant)).(0)
   in
-  let prog = lowered.Sw_swacc.Lowered.programs.(0) in
   match Asm.parse_program (Asm.render_program prog) with
   | Ok parsed -> Alcotest.(check bool) "identical" true (parsed = prog)
   | Error msg -> Alcotest.failf "parse failed: %s" msg

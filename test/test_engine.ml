@@ -11,7 +11,10 @@ let fadd dst srcs = Instr.make Instr.Fadd ~dst srcs
 let dma_get ?(tag = 0) ?(addr = 0) bytes =
   Program.Dma_issue { dir = Program.Get; accesses = [ Mem_req.contiguous ~addr ~bytes ]; tag }
 
-let run_one prog = Engine.run ideal [| prog |]
+(* hand-written programs reach the engine through its compile bridge *)
+let compile_run cfg progs = Engine.run cfg (Engine.compile cfg progs)
+
+let run_one prog = compile_run ideal [| prog |]
 
 let test_single_transaction_latency () =
   (* Calibration: one 256B aligned DMA completes in l_base cycles. *)
@@ -32,7 +35,7 @@ let test_bandwidth_saturation () =
     Array.init 64 (fun i ->
         [| dma_get ~addr:(i * 16384) 16384; Program.Dma_wait 0 |])
   in
-  let m = Engine.run ideal progs in
+  let m = compile_run ideal progs in
   let total_trans = 64 * 64 in
   Alcotest.(check int) "transaction count" total_trans m.Metrics.transactions;
   let lower = float_of_int total_trans *. Params.cycles_per_transaction p in
@@ -89,14 +92,14 @@ let test_repeat_equals_trips () =
 let test_determinism () =
   let cfg = Config.default p in
   let progs = Array.init 8 (fun i -> [| dma_get ~addr:(i * 8192) 4096; Program.Dma_wait 0 |]) in
-  let m1 = Engine.run cfg progs and m2 = Engine.run cfg progs in
+  let m1 = compile_run cfg progs and m2 = compile_run cfg progs in
   Alcotest.(check (float 0.0)) "same makespan" m1.Metrics.cycles m2.Metrics.cycles;
   Alcotest.(check int) "same events" m1.Metrics.events m2.Metrics.events
 
 let test_overheads_increase_time () =
   let prog = [| dma_get 256; Program.Dma_wait 0 |] in
-  let m_ideal = Engine.run ideal [| prog |] in
-  let m_real = Engine.run (Config.default p) [| prog |] in
+  let m_ideal = compile_run ideal [| prog |] in
+  let m_real = compile_run (Config.default p) [| prog |] in
   Alcotest.(check bool) "overheads cost cycles" true
     (m_real.Metrics.cycles > m_ideal.Metrics.cycles)
 
@@ -104,7 +107,7 @@ let test_multi_cg_routing () =
   let p2 = Params.with_cgs p 2 in
   let cfg = Config.ideal p2 in
   (* 8 consecutive blocks interleave across both controllers *)
-  let m = Engine.run cfg [| [| dma_get (8 * 256); Program.Dma_wait 0 |] |] in
+  let m = compile_run cfg [| [| dma_get (8 * 256); Program.Dma_wait 0 |] |] in
   Alcotest.(check bool) "both MCs busy" true
     (Array.for_all (fun b -> b > 0.0) m.Metrics.mc_busy_cycles)
 
@@ -115,7 +118,7 @@ let test_multi_cg_more_bandwidth () =
       Array.init (Params.total_cpes pn) (fun i ->
           [| dma_get ~addr:(i * 32768) 32768; Program.Dma_wait 0 |])
     in
-    let m = Engine.run (Config.ideal pn) progs in
+    let m = compile_run (Config.ideal pn) progs in
     (* per-CPE identical work; compare makespan *)
     m.Metrics.cycles
   in
@@ -129,18 +132,18 @@ let test_gstore_counts () =
 
 let test_rejects_invalid_program () =
   let bad = [| Program.Compute { block = [||]; trips = 1 } |] in
-  match Engine.run ideal [| bad |] with
+  match compile_run ideal [| bad |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
 let test_rejects_too_many_programs () =
   let progs = Array.make 65 [| Program.Gload { addr = 0; bytes = 8 } |] in
-  match Engine.run ideal progs with
+  match compile_run ideal progs with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for 65 programs on 64 CPEs"
 
 let test_empty_program_finishes () =
-  let m = Engine.run ideal [| [||] |] in
+  let m = compile_run ideal [| [||] |] in
   Alcotest.(check (float 1e-6)) "zero cycles" 0.0 m.Metrics.cycles
 
 let test_strided_dma_transactions () =
@@ -163,7 +166,7 @@ let prop_more_cpes_never_faster_per_byte =
       let progs =
         Array.init n (fun i -> [| dma_get ~addr:(i * per) per; Program.Dma_wait 0 |])
       in
-      let m = Engine.run ideal progs in
+      let m = compile_run ideal progs in
       m.Metrics.transactions = total / 256)
 
 let tests =

@@ -1,5 +1,6 @@
-(* Differential tests: {!Engine} (calendar queue, compiled programs,
-   DMA pool) against {!Engine_ref} (the preserved original).  Every
+(* Differential tests: {!Engine} (calendar queue, flat programs, DMA
+   pool) on {!Engine.compile}d programs against {!Engine_ref} (the
+   preserved original) on the item trees.  Every
    observable must be *bit-identical* — full [Metrics.t] records
    including float arrays, span/request/retry trace streams, cutoff
    points, event counts, exceptions — across random programs and every
@@ -77,6 +78,9 @@ let configs =
     ("faulty", { (Config.default p) with Config.faults = faulty });
   ]
 
+(* the engine runs the flat form; [Engine.compile] is its bridge *)
+let compile_run cfg progs = Engine.run cfg (Engine.compile cfg progs)
+
 let check_metrics label (a : Metrics.t) (b : Metrics.t) =
   Alcotest.(check bool) (label ^ ": metrics bit-identical") true (a = b)
 
@@ -88,7 +92,7 @@ let test_metrics_identical () =
           let progs = gen_fleet seed 16 in
           check_metrics
             (Printf.sprintf "%s seed %d" name seed)
-            (Engine_ref.run cfg progs) (Engine.run cfg progs))
+            (Engine_ref.run cfg progs) (compile_run cfg progs))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
     configs
 
@@ -97,7 +101,7 @@ let test_traces_identical () =
     (fun (name, cfg) ->
       let progs = gen_fleet 13 8 in
       let m1, s1, q1, r1 = Engine_ref.run_traced_full cfg progs in
-      let m2, s2, q2, r2 = Engine.run_traced_full cfg progs in
+      let m2, s2, q2, r2 = Engine.run_traced_full cfg (Engine.compile cfg progs) in
       check_metrics name m1 m2;
       Alcotest.(check bool) (name ^ ": spans identical") true (s1 = s2);
       Alcotest.(check bool) (name ^ ": dma reqs identical") true (q1 = q2);
@@ -117,13 +121,14 @@ let opt_result = function
 let test_budget_identical () =
   let cfg = Config.default p in
   let progs = gen_fleet 21 16 in
-  let full = Engine.run cfg progs in
+  let flats = Engine.compile cfg progs in
+  let full = Engine.run cfg flats in
   (* a strict-cutoff abandon and an event-budget abandon must stop at
      the same event with the same clock in both engines *)
   List.iter
     (fun cutoff ->
       let a = ref_result (Engine_ref.run_budget ~cutoff cfg progs) in
-      let b = opt_result (Engine.run_budget ~cutoff cfg progs) in
+      let b = opt_result (Engine.run_budget ~cutoff cfg flats) in
       Alcotest.(check bool)
         (Printf.sprintf "cutoff %.0f identical" cutoff)
         true (a = b))
@@ -131,7 +136,7 @@ let test_budget_identical () =
   List.iter
     (fun event_budget ->
       let a = ref_result (Engine_ref.run_budget ~event_budget cfg progs) in
-      let b = opt_result (Engine.run_budget ~event_budget cfg progs) in
+      let b = opt_result (Engine.run_budget ~event_budget cfg flats) in
       Alcotest.(check bool)
         (Printf.sprintf "budget %d identical" event_budget)
         true (a = b))
@@ -141,7 +146,7 @@ let test_event_limit_identical () =
   let cfg = { (Config.default p) with Config.max_events = 100 } in
   let progs = gen_fleet 3 16 in
   let outcome run = match run cfg progs with m -> Ok m.Metrics.events | exception e -> Error e in
-  match (outcome Engine_ref.run, outcome Engine.run) with
+  match (outcome Engine_ref.run, outcome compile_run) with
   | Error Engine_ref.Event_limit, Error Engine.Event_limit -> ()
   | _ -> Alcotest.fail "both engines must hit Event_limit"
 
@@ -163,7 +168,7 @@ let test_rejections_identical () =
   in
   List.iter
     (fun (name, cfg, progs) ->
-      Alcotest.(check string) name (msg Engine_ref.run cfg progs) (msg Engine.run cfg progs))
+      Alcotest.(check string) name (msg Engine_ref.run cfg progs) (msg compile_run cfg progs))
     cases
 
 let test_empty_body_repeat_identical () =
@@ -174,28 +179,27 @@ let test_empty_body_repeat_identical () =
     [| Program.Repeat { trips = 5; body = [| Program.Repeat { trips = 3; body = [||] } |] } |]
   in
   List.iter
-    (fun (name, cfg) -> check_metrics name (Engine_ref.run cfg [| prog |]) (Engine.run cfg [| prog |]))
+    (fun (name, cfg) -> check_metrics name (Engine_ref.run cfg [| prog |]) (compile_run cfg [| prog |]))
     [ ("default", Config.default p); ("ideal", Config.ideal p) ]
 
 let test_shared_cache_traffic_identical () =
-  (* cold program lowering must hit the process-wide block-cost cache
-     exactly as often as the reference's lazy per-run table: once per
-     structurally-distinct block per run.  A warm run reuses whole
-     lowered programs from the compile cache and must not touch the
-     block-cost cache at all. *)
+  (* a cold compile must hit the process-wide block-cost cache exactly
+     as often as the reference's lazy per-run table: once per
+     structurally-distinct block.  Running compiled programs must not
+     touch the block-cost cache at all. *)
   let progs = gen_fleet 5 8 in
   let cfg = Config.ideal p in
   let cold run =
-    Engine.clear_compile_cache ();
     Schedule.clear_cache ();
     ignore (run cfg progs);
     Schedule.cache_stats ()
   in
   let ref_traffic = cold Engine_ref.run in
-  let opt_traffic = cold Engine.run in
+  let opt_traffic = cold compile_run in
   Alcotest.(check bool) "cold cache traffic identical" true (ref_traffic = opt_traffic);
+  let flats = Engine.compile cfg progs in
   let h0, m0 = Schedule.cache_stats () in
-  ignore (Engine.run cfg progs);
+  ignore (Engine.run cfg flats);
   let h1, m1 = Schedule.cache_stats () in
   Alcotest.(check bool) "warm run adds no block-cost traffic" true (h1 - h0 = 0 && m1 - m0 = 0)
 
@@ -227,9 +231,8 @@ let test_no_obs_run_allocates_nothing_per_event () =
         |])
   in
   let cfg = Config.default p in
-  let small = fleet 8 and big = fleet 264 in
-  (* warm the schedule and compile caches for both fleets so the
-     measured runs are pure steady state *)
+  let small = Engine.compile cfg (fleet 8) and big = Engine.compile cfg (fleet 264) in
+  (* warm up on both fleets so the measured runs are pure steady state *)
   ignore (Engine.run cfg small);
   ignore (Engine.run cfg big);
   let measure progs =

@@ -21,7 +21,10 @@ let streaming_fleet ~cpes ~chunk_bytes ~chunks =
           };
       |])
 
-let run ?(params = p) progs = Engine.run (Config.ideal params) progs
+(* hand-written programs reach the engine through its compile bridge *)
+let compile_run cfg progs = Engine.run cfg (Engine.compile cfg progs)
+
+let run ?(params = p) progs = compile_run (Config.ideal params) progs
 
 let test_more_bandwidth_never_slower () =
   let progs = streaming_fleet ~cpes:64 ~chunk_bytes:8192 ~chunks:4 in
@@ -46,7 +49,7 @@ let test_noc_penalty_visible () =
 let test_jitter_bounded_effect () =
   let progs = streaming_fleet ~cpes:64 ~chunk_bytes:4096 ~chunks:8 in
   let t jitter seed =
-    (Engine.run { (Config.ideal p) with Config.start_jitter = jitter; seed } progs).Metrics.cycles
+    (compile_run { (Config.ideal p) with Config.start_jitter = jitter; seed } progs).Metrics.cycles
   in
   let base = t 0 1 in
   List.iter
@@ -61,8 +64,8 @@ let test_jitter_bounded_effect () =
 let test_overheads_scale_with_chunks () =
   let mk chunks = streaming_fleet ~cpes:1 ~chunk_bytes:256 ~chunks in
   let cost chunks =
-    let ideal = (Engine.run (Config.ideal p) (mk chunks)).Metrics.cycles in
-    let real = (Engine.run (Config.default p) (mk chunks)).Metrics.cycles in
+    let ideal = (compile_run (Config.ideal p) (mk chunks)).Metrics.cycles in
+    let real = (compile_run (Config.default p) (mk chunks)).Metrics.cycles in
     real -. ideal
   in
   (* per-chunk CPE overheads accumulate roughly linearly *)
@@ -70,7 +73,7 @@ let test_overheads_scale_with_chunks () =
 
 let test_event_limit_enforced () =
   let progs = streaming_fleet ~cpes:64 ~chunk_bytes:4096 ~chunks:64 in
-  match Engine.run { (Config.ideal p) with Config.max_events = 100 } progs with
+  match compile_run { (Config.ideal p) with Config.max_events = 100 } progs with
   | exception Engine.Event_limit -> ()
   | _ -> Alcotest.fail "expected Event_limit"
 

@@ -77,6 +77,36 @@ let test_validated_raises_and_engine_guards () =
   | exception Config.Invalid_config _ -> ()
   | _ -> Alcotest.fail "engine accepted an invalid config"
 
+(* A flat program bakes in the few parameters its arrays depend on: the
+   engine refuses a mismatch, naming the field. *)
+let test_baked_params_mismatch_refused () =
+  let other = { config with Config.params = { p with Sw_arch.Params.trans_size = 128 } } in
+  match Engine.run other (programs_of "kmeans" 0.25) with
+  | exception Invalid_argument msg ->
+      let field = "trans_size" in
+      let names =
+        List.exists
+          (fun i -> String.sub msg i (String.length field) = field)
+          (List.init (String.length msg - String.length field + 1) Fun.id)
+      in
+      Alcotest.(check bool) ("names the field: " ^ msg) true names
+  | _ -> Alcotest.fail "engine ran programs built for another transaction size"
+
+(* Everything a fault plan perturbs is read at run time, so the plan
+   runs the nominal lowering and measures exactly what the reference
+   engine measures on the reference trees under the plan. *)
+let test_plan_runs_shared_lowering () =
+  let plan = Fault.plan ~spec:Fault.harsh ~seed:3 config in
+  let pp = plan.Config.params in
+  Alcotest.(check bool) "plan jitters latency or bandwidth" true
+    (pp.Sw_arch.Params.l_base <> p.Sw_arch.Params.l_base
+    || pp.Sw_arch.Params.mem_bw_bytes_per_s <> p.Sw_arch.Params.mem_bw_bytes_per_s);
+  let e = entry "kmeans" in
+  let kernel = e.Sw_workloads.Registry.build ~scale:0.25 in
+  let items = Result.get_ok (Sw_swacc.Lower_ref.lower pp kernel e.Sw_workloads.Registry.variant) in
+  Alcotest.(check bool) "shared lowering = reference under the plan" true
+    (Engine.run plan (programs_of "kmeans" 0.25) = Sw_sim.Engine_ref.run plan items)
+
 let test_valid_config_roundtrips () =
   match Config.validate config with
   | Ok c -> Alcotest.(check bool) "unchanged" true (c = config)
@@ -242,6 +272,8 @@ let tests =
       Alcotest.test_case "validate rejects bad faults" `Quick test_validate_rejects_bad_faults;
       Alcotest.test_case "validated raises; engine guards" `Quick
         test_validated_raises_and_engine_guards;
+      Alcotest.test_case "baked params mismatch refused" `Quick test_baked_params_mismatch_refused;
+      Alcotest.test_case "plan runs the shared lowering" `Quick test_plan_runs_shared_lowering;
       Alcotest.test_case "valid config round-trips" `Quick test_valid_config_roundtrips;
       Alcotest.test_case "plan deterministic" `Quick test_plan_deterministic;
       Alcotest.test_case "plan none = identity" `Quick test_plan_none_is_identity_plus_seed;

@@ -27,24 +27,27 @@ let mk_kernel ?(n = 1024) ?gloads ?spill_gloads () =
 let variant ?(grain = 64) ?(unroll = 1) ?(active = 64) ?(db = false) () =
   { Kernel.grain; unroll; active_cpes = active; double_buffer = db }
 
+(* the item view of a lowering: the reference lowering's trees, which
+   the engine's compile turns into exactly [Lower.lower]'s programs *)
+let items k v =
+  match Lower_ref.lower p k v with Ok progs -> progs | Error m -> Alcotest.failf "lower: %s" m
+
 let test_program_count () =
   let l = Lower.lower_exn p (mk_kernel ()) (variant ()) in
   Alcotest.(check int) "one program per active CPE" 16 (Array.length l.Lowered.programs)
 (* 1024/64 = 16 chunks, so only 16 CPEs get work *)
 
 let test_programs_validate () =
-  let l = Lower.lower_exn p (mk_kernel ~n:4096 ()) (variant ()) in
   Array.iter
     (fun prog ->
       match Program.validate p prog with
       | Ok () -> ()
       | Error m -> Alcotest.failf "invalid program: %s" m)
-    l.Lowered.programs
+    (items (mk_kernel ~n:4096 ()) (variant ()))
 
 let test_sync_structure () =
   (* one chunk: in-issue, wait, compute, out-issue, wait *)
-  let l = Lower.lower_exn p (mk_kernel ~n:64 ()) (variant ~grain:64 ~active:1 ()) in
-  match l.Lowered.programs.(0) with
+  match (items (mk_kernel ~n:64 ()) (variant ~grain:64 ~active:1 ())).(0) with
   | [| Program.Dma_issue { dir = Program.Get; accesses; _ }; Program.Dma_wait _;
        Program.Compute _; Program.Dma_issue { dir = Program.Put; accesses = out_acc; _ };
        Program.Dma_wait _ |] ->
@@ -53,8 +56,7 @@ let test_sync_structure () =
   | prog -> Alcotest.failf "unexpected shape: %a" Program.pp prog
 
 let test_double_buffer_structure () =
-  let l = Lower.lower_exn p (mk_kernel ~n:256 ()) (variant ~grain:64 ~active:1 ~db:true ()) in
-  let prog = l.Lowered.programs.(0) in
+  let prog = (items (mk_kernel ~n:256 ()) (variant ~grain:64 ~active:1 ~db:true ())).(0) in
   (* 4 chunks: 4 in-issues + 4 out-issues *)
   Alcotest.(check int) "8 dma requests" 8 (Program.dma_issue_count prog);
   (match Program.validate p prog with
@@ -112,7 +114,8 @@ let test_summary_dma_groups () =
   Alcotest.(check int) "two group shapes" 2 (List.length s.Lowered.dma_groups)
 
 let test_summary_compute_matches_program () =
-  let l = Lower.lower_exn p (mk_kernel ~n:4096 ()) (variant ~grain:64 ~unroll:4 ()) in
+  let k = mk_kernel ~n:4096 () and v = variant ~grain:64 ~unroll:4 () in
+  let l = Lower.lower_exn p k v in
   let from_summary =
     List.fold_left
       (fun acc (c : Lowered.compute_summary) ->
@@ -121,7 +124,7 @@ let test_summary_compute_matches_program () =
   in
   (* longest-path CPE: compare against its program's compute cycles; all
      CPEs are symmetric here *)
-  let from_program = Program.compute_cycles p l.Lowered.programs.(0) in
+  let from_program = Program.compute_cycles p (items k v).(0) in
   (* the summary aggregates trips across chunks, so the once-per-block
      warmup is charged once instead of per chunk: allow that slack *)
   Alcotest.(check bool)
@@ -133,14 +136,13 @@ let test_gloads_lowered_per_element () =
   let gloads =
     { Kernel.g_bytes = 8; count_for = (fun e -> e mod 3); addr_for = (fun e j -> 8 * ((e * 7) + j)) }
   in
-  let l = Lower.lower_exn p (mk_kernel ~n:128 ~gloads ()) (variant ~grain:32 ~active:4 ()) in
-  let total = Array.fold_left (fun acc prog -> acc + Program.gload_count prog) 0 l.Lowered.programs in
+  let k = mk_kernel ~n:128 ~gloads () and v = variant ~grain:32 ~active:4 () in
+  let l = Lower.lower_exn p k v in
+  let total = Array.fold_left (fun acc prog -> acc + Program.gload_count prog) 0 (items k v) in
   let expected = List.fold_left (fun acc e -> acc + (e mod 3)) 0 (List.init 128 Fun.id) in
   Alcotest.(check int) "all per-element gloads emitted" expected total;
   (* summary takes the heaviest CPE *)
-  let per_cpe =
-    Array.map (fun prog -> Program.gload_count prog) l.Lowered.programs
-  in
+  let per_cpe = Array.map (fun prog -> Program.gload_count prog) (items k v) in
   Alcotest.(check int) "summary gload count is the max"
     (Array.fold_left Stdlib.max 0 per_cpe)
     l.Lowered.summary.Lowered.gload_count
@@ -153,7 +155,7 @@ let test_spill_gloads () =
   (* 256/8 = 32 chunks over 4 CPEs: 8 chunks per CPE, 3 spills each *)
   Alcotest.(check int) "spills at small grain" 24 l_small.Lowered.summary.Lowered.gload_count;
   Alcotest.(check int) "no spills at large grain" 0 l_big.Lowered.summary.Lowered.gload_count;
-  let prog_gloads = Program.gload_count l_small.Lowered.programs.(0) in
+  let prog_gloads = Program.gload_count (items k (variant ~grain:8 ~active:4 ())).(0) in
   Alcotest.(check int) "program carries the spills too" 24 prog_gloads
 
 let test_strided_copy_requests () =

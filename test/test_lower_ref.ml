@@ -1,8 +1,9 @@
-(* The factored static summary against the enumerating reference
-   (Lower_ref): equal on random kernels and variants — strided and
-   odd-based arrays, irregular gloads, compiler spills, tail chunks,
-   more CPEs than chunks, double buffering — and the summary's request
-   counts equal what the simulator counts on the registry kernels. *)
+(* The factored static summary and the flat lowering against the
+   enumerating references (Lower_ref): equal on random kernels and
+   variants — strided and odd-based arrays, irregular gloads, compiler
+   spills, tail chunks, more CPEs than chunks, double buffering — and
+   the summary's request counts and the flat programs' DMA rows equal
+   what the simulator counts on the registry kernels. *)
 
 open Sw_swacc
 module Registry = Sw_workloads.Registry
@@ -106,6 +107,50 @@ let prop_lower_summary_equals_reference =
       | Error a, Error b -> a = b
       | _ -> false)
 
+(* The flat lowering is the engine's compile of the reference item
+   trees: structurally equal programs, or the same [Error].  Core-group
+   counts vary too, so DMA rows route over several controllers. *)
+let flat_equals_reference params kernel v =
+  match (Lower.lower params kernel v, Lower_ref.lower params kernel v) with
+  | Ok l, Ok items ->
+      l.Lowered.programs = Sw_sim.Engine.compile (Sw_sim.Config.default params) items
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let prop_flat_equals_reference =
+  QCheck.Test.make ~name:"lower = Engine.compile . Lower_ref.lower" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (map2 (fun params n_cgs -> Sw_arch.Params.with_cgs params n_cgs) gen_params (int_range 1 4))
+           gen_kernel
+           (list_size (int_range 1 4) gen_variant)))
+    (fun (params, kernel, variants) ->
+      List.for_all (flat_equals_reference params kernel) variants)
+
+(* Every registry kernel's default variant, both buffering settings:
+   the flat programs equal the compiled reference trees, and the engine
+   on them measures exactly what the reference engine measures on the
+   trees. *)
+let test_registry_flat_equals_reference () =
+  let config = Sw_sim.Config.default p in
+  List.iter
+    (fun (entry : Registry.entry) ->
+      let kernel = entry.Registry.build ~scale:0.5 in
+      List.iter
+        (fun double_buffer ->
+          let v = { entry.Registry.variant with Kernel.double_buffer } in
+          let label = Printf.sprintf "%s db%b" entry.Registry.name double_buffer in
+          Alcotest.(check bool) (label ^ ": flat = compiled reference") true
+            (flat_equals_reference p kernel v);
+          match (Lower.lower p kernel v, Lower_ref.lower p kernel v) with
+          | Ok l, Ok items ->
+              Alcotest.(check bool) (label ^ ": metrics bit-identical") true
+                (Sw_sim.Engine.run config l.Lowered.programs = Sw_sim.Engine_ref.run config items)
+          | _ -> ())
+        [ false; true ])
+    Registry.all
+
 (* Clearing the caches drops both halves; the recomputed summary is
    unchanged. *)
 let test_clear_cache_keeps_results () =
@@ -119,9 +164,11 @@ let test_clear_cache_keeps_results () =
 
 (* Cross-layer count invariant: the static summary's logical DMA
    requests (a per-CPE fleet average) times the active CPEs is what the
-   simulator executes; for kernels without gloads the summary's
-   transactions match the simulator's too (gloads add transactions the
-   DMA groups do not describe). *)
+   simulator executes, and so is the flat programs' DMA row count; for
+   kernels without gloads the summary's transactions match the
+   simulator's too (gloads add transactions the DMA groups do not
+   describe).  The rows' payload is the lowering's total payload, which
+   is the simulated payload on kernels without gloads. *)
 let test_counts_match_simulator () =
   let config = Sw_sim.Config.default p in
   List.iter
@@ -147,6 +194,16 @@ let test_counts_match_simulator () =
                 (label "DMA requests")
                 (float_of_int m.Sw_sim.Metrics.dma_requests)
                 (fleet (fun g -> g.Lowered.count));
+              let programs = lowered.Lowered.programs in
+              let rows f = Array.fold_left (fun acc prog -> acc + f prog) 0 programs in
+              Alcotest.(check int) (label "flat DMA rows") m.Sw_sim.Metrics.dma_requests
+                (rows Sw_isa.Flat.dma_rows);
+              Alcotest.(check int) (label "row payload = total payload")
+                (Lowered.total_payload_bytes lowered)
+                (rows Sw_isa.Flat.payload_bytes);
+              if m.Sw_sim.Metrics.gload_requests = 0 then
+                Alcotest.(check int) (label "row payload = simulated payload")
+                  m.Sw_sim.Metrics.payload_bytes (rows Sw_isa.Flat.payload_bytes);
               if kernel.Kernel.gloads = None && kernel.Kernel.spill_gloads = None then
                 Alcotest.(check (float 0.0))
                   (label "DMA transactions")
@@ -160,6 +217,8 @@ let tests =
     [
       QCheck_alcotest.to_alcotest prop_summary_equals_reference;
       QCheck_alcotest.to_alcotest prop_lower_summary_equals_reference;
+      QCheck_alcotest.to_alcotest prop_flat_equals_reference;
+      Alcotest.test_case "registry flat = reference" `Quick test_registry_flat_equals_reference;
       Alcotest.test_case "clear_cache keeps results" `Quick test_clear_cache_keeps_results;
       Alcotest.test_case "summary counts = simulator counts" `Quick test_counts_match_simulator;
     ] )

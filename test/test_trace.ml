@@ -11,7 +11,10 @@ let fadd dst srcs = Instr.make Instr.Fadd ~dst srcs
 let dma_get ?(addr = 0) bytes =
   Program.Dma_issue { dir = Program.Get; accesses = [ Mem_req.contiguous ~addr ~bytes ]; tag = 0 }
 
-let traced prog = Engine.run_traced ideal [| prog |]
+(* hand-written programs reach the engine through its compile bridge *)
+let compiled prog = Engine.compile ideal [| prog |]
+
+let traced prog = Engine.run_traced ideal (compiled prog)
 
 let test_compute_span () =
   let block = [| fadd 1 [ 1; 0 ] |] in
@@ -52,8 +55,8 @@ let test_totals () =
 
 let test_run_and_run_traced_agree () =
   let prog = [| dma_get 4096; Program.Dma_wait 0; Program.Gload { addr = 0; bytes = 8 } |] in
-  let m1 = Engine.run ideal [| prog |] in
-  let m2, _ = Engine.run_traced ideal [| prog |] in
+  let m1 = Engine.run ideal (compiled prog) in
+  let m2, _ = Engine.run_traced ideal (compiled prog) in
   Alcotest.(check (float 1e-9)) "identical timing" m1.Metrics.cycles m2.Metrics.cycles
 
 let test_render () =

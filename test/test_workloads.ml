@@ -17,7 +17,7 @@ let check_entry scale (e : Registry.entry) () =
       match Sw_isa.Program.validate p prog with
       | Ok () -> ()
       | Error m -> Alcotest.failf "invalid program: %s" m)
-    lowered.Sw_swacc.Lowered.programs;
+    (Result.get_ok (Sw_swacc.Lower_ref.lower p kernel e.Registry.variant));
   let m = Sw_backend.Machine.metrics config lowered in
   Alcotest.(check bool) "positive makespan" true (m.Sw_sim.Metrics.cycles > 0.0);
   Alcotest.(check bool) "moved data" true (m.Sw_sim.Metrics.transactions > 0)
