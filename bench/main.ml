@@ -951,7 +951,10 @@ let engine () =
    II spaces, each at scales 1 and 4 and with and without double
    buffering; the Table II static tuner is at least 5x faster than the
    same tune run through the reference, with the same picks (a ratio
-   within one run, so it does not depend on the host's speed). *)
+   within one run, so it does not depend on the host's speed); and
+   [Backend.assess static_model] over the static-dense spaces costs at
+   most 1.25x the bare [Lower.summarize] + [Predict.run] loop it wraps
+   (warm caches, interleaved passes, median per-pass ratio). *)
 
 let static_bench () =
   section "Static assessment: factored summary vs the enumerating reference";
@@ -960,10 +963,13 @@ let static_bench () =
   let module Kernel = Sw_swacc.Kernel in
   let module Registry = Sw_workloads.Registry in
   let r = Sw_tuning.Space.range in
-  let spaces =
+  let dense_spaces =
     List.map
       (fun (name, grains) -> (Registry.find_exn name, grains, r 1 4))
       [ ("kmeans", r 1 1024); ("backprop", r 1 128); ("hotspot", r 1 1024) ]
+  in
+  let spaces =
+    dense_spaces
     @ List.map
         (fun (e : Registry.entry) -> (e, e.Registry.grains, e.Registry.unrolls))
         Registry.tuning_subset
@@ -1066,13 +1072,63 @@ let static_bench () =
   let speedup = ref_s /. fact_s in
   let same_ok = List.for_all (fun (_, _, _, _, same) -> same) rows in
   Printf.printf "aggregate: reference %.4f s, factored %.4f s, %.1fx\n" ref_s fact_s speedup;
+  (* What the backend adds on top of the model: the same static-dense
+     points through Backend.assess and through the bare layer calls *)
+  let dense =
+    List.concat_map
+      (fun ((e : Registry.entry), grains, unrolls) ->
+        let kernel = e.Registry.build ~scale:1.0 in
+        List.map
+          (fun p -> (kernel, Sw_tuning.Space.to_variant p ~active_cpes:64))
+          (Sw_tuning.Space.enumerate ~grains ~unrolls ~double_buffers:[ false; true ] ()))
+      dense_spaces
+  in
+  let pass assess () = List.iter (fun (kernel, v) -> assess kernel v) dense in
+  let bare =
+    pass (fun kernel v ->
+        match Sw_swacc.Lower.summarize params kernel v with
+        | Ok s -> ignore (Sys.opaque_identity (Swpm.Predict.run params s))
+        | Error reason -> ignore (Sys.opaque_identity reason))
+  in
+  let backend =
+    pass (fun kernel v ->
+        ignore
+          (Sys.opaque_identity
+             (Sw_backend.Backend.assess Sw_backend.Backend.static_model config kernel v)))
+  in
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  bare ();
+  backend ();
+  let overhead_reps = 15 in
+  let ratios =
+    List.init overhead_reps (fun i ->
+        (* alternate which goes first, so neither always runs on a
+           freshly collected heap *)
+        if i mod 2 = 0 then
+          let b = time bare in
+          time backend /. b
+        else
+          let w = time backend in
+          w /. time bare)
+  in
+  let overhead = List.nth (List.sort compare ratios) (overhead_reps / 2) in
+  Printf.printf
+    "backend overhead: Backend.assess = %.2fx the bare layers (median of %d, %d points)\n" overhead
+    overhead_reps (List.length dense);
   let equal_ok = !mismatches = 0 in
   let speed_ok = speedup >= 5.0 in
+  let overhead_ok = overhead <= 1.25 in
   if not equal_ok then
     Printf.printf "GATE FAILED: %d summaries differ from Lower_ref\n" !mismatches;
   if not speed_ok then
     Printf.printf "GATE FAILED: static tuner speedup %.2fx < 5x over the reference\n" speedup;
   if not same_ok then Printf.printf "GATE FAILED: a tune through the reference picked differently\n";
+  if not overhead_ok then
+    Printf.printf "GATE FAILED: Backend.assess costs %.2fx the bare layers > 1.25x\n" overhead;
   add_json "static"
     (json_obj
        [
@@ -1082,6 +1138,8 @@ let static_bench () =
          ("reference_s", json_float ref_s);
          ("factored_s", json_float fact_s);
          ("speedup", json_float speedup);
+         ("backend_overhead", json_float overhead);
+         ("overhead_reps", string_of_int overhead_reps);
          ( "rows",
            json_list
              (List.map
@@ -1097,7 +1155,7 @@ let static_bench () =
                     ])
                 rows) );
        ]);
-  if not (equal_ok && speed_ok && same_ok) then exit 1
+  if not (equal_ok && speed_ok && same_ok && overhead_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* The serve daemon under a mixed Table II workload: sustained req/s

@@ -192,7 +192,7 @@ let predict_cmd =
               | None -> ());
               Format.printf "%s: %.0f cycles (host %.3f s, machine %.0f us)@."
                 pr.Sw_serve.Handler.pr_backend v.Sw_backend.Backend.cycles
-                v.Sw_backend.Backend.cost.Sw_backend.Backend.host_wall_s
+                pr.Sw_serve.Handler.pr_host_wall_s
                 v.Sw_backend.Backend.cost.Sw_backend.Backend.machine_us
             end;
             Option.iter (fun path -> write_trace path (Option.get sink)) trace)

@@ -2,19 +2,12 @@ module Kernel = Sw_swacc.Kernel
 module Lower = Sw_swacc.Lower
 module Lowered = Sw_swacc.Lowered
 
-type cost = {
-  host_wall_s : float;
-  host_cpu_s : float;
-  machine_us : float;
-  machine_events : int;
-}
+type cost = { machine_us : float; machine_events : int }
 
-let zero_cost = { host_wall_s = 0.0; host_cpu_s = 0.0; machine_us = 0.0; machine_events = 0 }
+let zero_cost = { machine_us = 0.0; machine_events = 0 }
 
 let add_cost a b =
   {
-    host_wall_s = a.host_wall_s +. b.host_wall_s;
-    host_cpu_s = a.host_cpu_s +. b.host_cpu_s;
     machine_us = a.machine_us +. b.machine_us;
     machine_events = a.machine_events + b.machine_events;
   }
@@ -70,26 +63,16 @@ let assess_exn backend config kernel variant =
 let cycles_exn backend config kernel variant =
   (assess_exn backend config kernel variant).cycles
 
-(* Measure host wall/CPU seconds around the actual assessment; the
-   implementation reports its outcome plus the machine time (and
-   simulator events) it consumed. *)
+(* Stamp the implementation's outcome and the machine time (and
+   simulator events) it consumed.  No clock is read here: host time is
+   measured once per search or request by the boundary that reports it,
+   not per point. *)
 let timed f =
-  let wall0 = Unix.gettimeofday () in
-  let cpu0 = Sys.time () in
-  let cost machine_us machine_events =
-    {
-      host_wall_s = Unix.gettimeofday () -. wall0;
-      host_cpu_s = Sys.time () -. cpu0;
-      machine_us;
-      machine_events;
-    }
-  in
   match f () with
   | `Infeasible e -> Infeasible e
   | `Priced (cycles, machine_us, machine_events, breakdown) ->
-      Assessed { cycles; cost = cost machine_us machine_events; breakdown }
-  | `Cut (at, machine_us, machine_events) ->
-      Cut_off { at; cost = cost machine_us machine_events }
+      Assessed { cycles; cost = { machine_us; machine_events }; breakdown }
+  | `Cut (at, machine_us, machine_events) -> Cut_off { at; cost = { machine_us; machine_events } }
 
 (* Static estimators price the whole variant in one closed-form shot;
    a [cutoff] can still classify the answer as a losing candidate, and

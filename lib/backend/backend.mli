@@ -9,19 +9,24 @@
     without hand-wiring [Engine.run] or [Predict.run] call sites.
 
     Every assessment returns either a {!verdict} — predicted or measured
-    cycles plus what producing that number {e cost} (host wall/CPU
-    seconds and simulated machine time) — or a typed {!infeasibility}
+    cycles plus what producing that number {e cost} on the machine
+    (simulated microseconds and events) — or a typed {!infeasibility}
     (SPM overflow, too many CPEs, …) exactly where a real tuner would
     get a compile error.
+
+    Verdicts carry no host time.  Reading the host clocks costs more
+    than the static model itself, so host seconds are measured once per
+    search or request by the boundary that reports them:
+    [Sw_tuning.Tuner.tune], [Sw_tuning.Search.rank_space] and
+    [Sw_serve.Handler.predict].
 
     All backends are safe to share across {!Sw_util.Pool} domains:
     assessments are pure except for mutex-guarded internal caches, and
     results are deterministic regardless of assessment order. *)
 
-(** What producing one verdict cost. *)
+(** What producing one verdict cost the machine.  Host seconds are not
+    part of it (see above). *)
 type cost = {
-  host_wall_s : float;  (** Wall-clock seconds of this assessment. *)
-  host_cpu_s : float;  (** Process CPU seconds of this assessment. *)
   machine_us : float;
       (** Simulated machine microseconds consumed (0 for purely static
           backends; the profiling bill for simulator-in-the-loop ones). *)
@@ -122,8 +127,8 @@ val cycles_exn :
 
     Helpers for third-party backends (the learned surrogate lives in a
     separate library and registers itself through {!register}): [timed]
-    measures host wall/CPU seconds around an assessment body and builds
-    the {!cost} record; [static_result] applies the strict-cutoff
+    turns an assessment body's outcome into an {!assessment} with its
+    {!cost} record; [static_result] applies the strict-cutoff
     classification every closed-form estimator shares. *)
 
 val timed :
@@ -132,10 +137,12 @@ val timed :
   | `Priced of float * float * int * Swpm.Predict.t option
   | `Cut of float * float * int ]) ->
   assessment
-(** Run the body and stamp its outcome with measured host seconds.
-    [`Priced (cycles, machine_us, machine_events, breakdown)] becomes
-    {!Assessed}; [`Cut (at, machine_us, machine_events)] becomes
-    {!Cut_off} with the sunk cost billed. *)
+(** Run the body and stamp its outcome with the machine cost it
+    reports.  [`Priced (cycles, machine_us, machine_events, breakdown)]
+    becomes {!Assessed}; [`Cut (at, machine_us, machine_events)] becomes
+    {!Cut_off} with the sunk cost billed.  No clock is read: the name
+    dates from when it measured host seconds per assessment, and is
+    kept so existing backends build unchanged. *)
 
 val static_result :
   ?cutoff:float ->

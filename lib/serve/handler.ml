@@ -513,6 +513,8 @@ let check_bounds = function
             value = string_of_int t.t_shortlist;
             expected = "an integer >= 0 (0 = a quarter of the space)";
           }
+      else if t.t_rungs < 1 then
+        Error { field = "rungs"; value = string_of_int t.t_rungs; expected = "an integer >= 1" }
       else Ok ()
   | Timeline l -> positive_scale l.l_scale
   | Ping | Metrics | Shutdown -> Ok ()
@@ -525,6 +527,8 @@ type predict_result = {
   pr_backend : string;
   pr_variant : Sw_swacc.Kernel.variant;
   pr_verdict : Backend.verdict;
+  pr_host_wall_s : float;
+  pr_host_cpu_s : float;
   pr_degraded : bool;
 }
 
@@ -554,7 +558,13 @@ let predict state ?obs p =
     | _ -> (shared, None)
   in
   let chain = match obs with Some s -> Backend.instrument s chain | None -> chain in
+  (* verdicts carry no host time: this request's one assessment is
+     timed here, where it is reported *)
+  let wall0 = Unix.gettimeofday () in
+  let cpu0 = Sys.time () in
   let outcome = Backend.assess chain config kernel variant in
+  let host_wall_s = Unix.gettimeofday () -. wall0 in
+  let host_cpu_s = Sys.time () -. cpu0 in
   let degraded =
     match local with
     | None -> false
@@ -567,7 +577,15 @@ let predict state ?obs p =
   in
   match outcome with
   | Ok v ->
-      Ok { pr_backend = canonical; pr_variant = variant; pr_verdict = v; pr_degraded = degraded }
+      Ok
+        {
+          pr_backend = canonical;
+          pr_variant = variant;
+          pr_verdict = v;
+          pr_host_wall_s = host_wall_s;
+          pr_host_cpu_s = host_cpu_s;
+          pr_degraded = degraded;
+        }
   | Error { Backend.backend = b; reason } ->
       Error (Printf.sprintf "%s rejects %s: %s" b p.p_kernel reason)
 
@@ -946,8 +964,8 @@ let predict_payload p pr =
       ("backend", Json.Str pr.pr_backend);
       ("variant", variant_json pr.pr_variant);
       ("cycles", Json.Float v.Backend.cycles);
-      ("host_wall_s", Json.Float v.Backend.cost.Backend.host_wall_s);
-      ("host_cpu_s", Json.Float v.Backend.cost.Backend.host_cpu_s);
+      ("host_wall_s", Json.Float pr.pr_host_wall_s);
+      ("host_cpu_s", Json.Float pr.pr_host_cpu_s);
       ("machine_us", Json.Float v.Backend.cost.Backend.machine_us);
       ("machine_events", Json.Int v.Backend.cost.Backend.machine_events);
       ( "breakdown",
@@ -1031,6 +1049,7 @@ let volatile_keys =
     "host_cpu_s";
     "tuning_host_s";
     "tuning_cpu_s";
+    "verify_host_s";
     "rank_host_s";
     "machine_us";
     "machine_time_us";

@@ -190,6 +190,8 @@ type predict_result = {
   pr_backend : string;  (** Canonical name of the requested backend. *)
   pr_variant : Sw_swacc.Kernel.variant;  (** Fully resolved variant. *)
   pr_verdict : Sw_backend.Backend.verdict;
+  pr_host_wall_s : float;  (** Wall-clock seconds of the assessment. *)
+  pr_host_cpu_s : float;  (** Process CPU seconds of the assessment. *)
   pr_degraded : bool;  (** A timeout fallback served this answer. *)
 }
 
@@ -207,10 +209,10 @@ type bound_error = {
 
 val check_bounds : verb -> (unit, bound_error) result
 (** Reject well-typed but meaningless fields: a non-finite or
-    non-positive [scale] (predict, tune, timeline) and a negative
-    [shortlist] (tune).  {!predict}, {!tune} and {!timeline} check
-    first, so the CLI and the daemon refuse the same requests, with
-    {!bound_error_message} as the error. *)
+    non-positive [scale] (predict, tune, timeline), a negative
+    [shortlist] and [rungs] below 1 (tune).  {!predict}, {!tune} and
+    {!timeline} check first, so the CLI and the daemon refuse the same
+    requests, with {!bound_error_message} as the error. *)
 
 val bound_error_message : bound_error -> string
 (** [field "scale": expected a finite number > 0, got -1]. *)

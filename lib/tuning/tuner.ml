@@ -15,6 +15,7 @@ type outcome = {
   speedup : float;
   tuning_host_s : float;
   tuning_cpu_s : float;
+  verify_host_s : float;
   machine_time_us : float;
   evaluated : int;
   infeasible : int;
@@ -28,9 +29,23 @@ type outcome = {
   link_lines_dropped : int;
 }
 
+(* Quality is always judged on the machine, whichever backend searched:
+   one validation run each for the best and the default variant, timed
+   as [verify_host_s] rather than billed as tuning cost.  The cached
+   lowering means re-running what the simulator backend just assessed
+   compiles nothing. *)
+let verify config kernel ~best ~default =
+  let params = config.Sw_sim.Config.params in
+  let run variant =
+    Sw_backend.Machine.cycles config (Sw_swacc.Lower.lower_cached_exn params kernel variant)
+  in
+  let wall0 = Unix.gettimeofday () in
+  let best_cycles = run best in
+  let default_cycles = run default in
+  (best_cycles, default_cycles, Unix.gettimeofday () -. wall0)
+
 let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?pool ?obs
     ?checkpoint (config : Sw_sim.Config.t) kernel ~points =
-  let params = config.Sw_sim.Config.params in
   (* Observability never steers the search: [instrument] wraps the
      backend with pure recording, so verdicts — and hence the argmin —
      are byte-identical with and without [obs]. *)
@@ -127,20 +142,14 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
           (p0, v0.Backend.cycles) rest
       in
       let best_variant = Space.to_variant best_point ~active_cpes in
-      (* Quality is always judged on the machine, whichever backend
-         searched: one validation run per variant, not billed as tuning
-         cost.  The cached lowering means re-running what the simulator
-         backend just assessed compiles nothing. *)
-      let run_variant variant =
-        Sw_backend.Machine.cycles config (Sw_swacc.Lower.lower_cached_exn params kernel variant)
-      in
-      let best_cycles = run_variant best_variant in
       let default_variant =
         match default with
         | Some v -> v
         | None -> Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
       in
-      let default_cycles = run_variant default_variant in
+      let best_cycles, default_cycles, verify_host_s =
+        verify config kernel ~best:best_variant ~default:default_variant
+      in
       Ok
         {
           backend = Backend.name backend;
@@ -151,6 +160,7 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
           speedup = default_cycles /. best_cycles;
           tuning_host_s;
           tuning_cpu_s;
+          verify_host_s;
           machine_time_us;
           evaluated;
           infeasible;
@@ -193,7 +203,6 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
     ?(active_cpes = 64) ?default ?(max_restarts = 2) ?hang_timeout_s
     (config : Sw_sim.Config.t) kernel ~points =
   if workers < 1 then invalid_arg "Tuner.tune_sharded: workers must be >= 1";
-  let params = config.Sw_sim.Config.params in
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   let procs =
@@ -256,11 +265,6 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
                      backend_name (List.length points)))
           | Some (best_point, _) ->
               let best_variant = Space.to_variant best_point ~active_cpes in
-              let run_variant variant =
-                Sw_backend.Machine.cycles config
-                  (Sw_swacc.Lower.lower_cached_exn params kernel variant)
-              in
-              let best_cycles = run_variant best_variant in
               let default_variant =
                 match (default, !first_ok) with
                 | Some v, _ -> v
@@ -268,7 +272,9 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
                     Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
                 | None, None -> best_variant
               in
-              let default_cycles = run_variant default_variant in
+              let best_cycles, default_cycles, verify_host_s =
+                verify config kernel ~best:best_variant ~default:default_variant
+              in
               Ok
                 {
                   backend = Printf.sprintf "sharded(%s,workers=%d)" backend_name workers;
@@ -281,6 +287,7 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
                   (* the coordinator's own cpu plus what the workers report:
                      the real compute bill, not the coordinator's idle wait *)
                   tuning_cpu_s = Sys.time () -. cpu0 +. sum_stat dones "cpu_s";
+                  verify_host_s;
                   machine_time_us = sum_stat dones "machine_us";
                   evaluated = !evaluated;
                   infeasible = !infeasible;
@@ -327,6 +334,7 @@ let outcome_to_json o =
       ("speedup", Float o.speedup);
       ("tuning_host_s", Float o.tuning_host_s);
       ("tuning_cpu_s", Float o.tuning_cpu_s);
+      ("verify_host_s", Float o.verify_host_s);
       ("machine_time_us", Float o.machine_time_us);
       ("evaluated", Int o.evaluated);
       ("infeasible", Int o.infeasible);

@@ -16,7 +16,10 @@
     Tuning cost is measured in host wall-clock seconds (with CPU
     seconds reported separately) and in simulated machine time billed
     by the backend's verdicts — the quantity that on the real
-    TaihuLight made dynamic tuning take hours.
+    TaihuLight made dynamic tuning take hours.  Verdicts carry machine
+    cost only: the tuner times the whole search once, not each point,
+    and times the validation runs of the best and default variants
+    separately ([verify_host_s]).
 
     Tuners can fan variant assessment out over a {!Sw_util.Pool} of
     OCaml domains; results are guaranteed identical to the sequential
@@ -45,6 +48,11 @@ type outcome = {
   tuning_cpu_s : float;
       (** Process CPU seconds spent assessing variants (≥ wall-clock
           under parallel execution; the total host effort). *)
+  verify_host_s : float;
+      (** Wall-clock seconds of the two validation runs that measure
+          [best_cycles] and [default_cycles]; not part of
+          [tuning_host_s].  Together they account for the tune's host
+          time. *)
   machine_time_us : float;
       (** Simulated machine microseconds billed by the backend's
           verdicts (0 for purely static backends; per-variant runs for
@@ -193,7 +201,7 @@ val tune_sharded :
     are recomputed from the merged journals, so a resumed run reports
     the same totals as an uninterrupted one.  [best_cycles] and
     [default_cycles] are the usual one-per-variant validation runs,
-    executed by the coordinator. *)
+    executed by the coordinator and timed as [verify_host_s]. *)
 
 val tune_exn :
   backend:Sw_backend.Backend.t ->

@@ -69,6 +69,74 @@ let test_infeasible_variant_rejected () =
       | Ok _ -> Alcotest.fail (Backend.name backend ^ ": expected rejection"))
     [ Backend.static_model; Backend.simulator; Backend.hybrid (); Backend.roofline ]
 
+(* Every closed-form backend is its layers and nothing else: over each
+   registry kernel's tuning space (both buffering settings), a verdict's
+   cycles and breakdown are bit-equal to calling Lower.summarize and the
+   estimator directly, and a rejection carries summarize's own reason. *)
+let test_backends_equal_direct_layers () =
+  let hybrid = Backend.hybrid () in
+  (* the hybrid's profile, chosen as it documents: the first lowerable
+     grain of 64/32/.../1 at unroll 1 *)
+  let calibration kernel active_cpes =
+    match
+      List.find_map
+        (fun grain ->
+          Result.to_option
+            (Sw_swacc.Lower.lower p kernel
+               { Sw_swacc.Kernel.grain; unroll = 1; active_cpes; double_buffer = false }))
+        [ 64; 32; 16; 8; 4; 2; 1 ]
+    with
+    | Some lowered -> Backend.calibrate config lowered
+    | None -> Swpm.Hybrid.no_calibration
+  in
+  let checked = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun (e : Sw_workloads.Registry.entry) ->
+      let kernel = e.Sw_workloads.Registry.build ~scale:1.0 in
+      let points =
+        Sw_tuning.Space.enumerate ~grains:e.Sw_workloads.Registry.grains
+          ~unrolls:e.Sw_workloads.Registry.unrolls ~double_buffers:[ false; true ] ()
+      in
+      List.iter
+        (fun pt ->
+          let v = Sw_tuning.Space.to_variant pt ~active_cpes:64 in
+          let label =
+            Printf.sprintf "%s g%d u%d db%b" e.Sw_workloads.Registry.name v.Sw_swacc.Kernel.grain
+              v.Sw_swacc.Kernel.unroll v.Sw_swacc.Kernel.double_buffer
+          in
+          let expect backend direct =
+            incr checked;
+            match (Sw_swacc.Lower.summarize p kernel v, Backend.assess backend config kernel v) with
+            | Ok s, Ok verdict ->
+                let cycles, breakdown = direct s in
+                Alcotest.(check bool) (label ^ " cycles") true
+                  (Int64.bits_of_float cycles = Int64.bits_of_float verdict.Backend.cycles);
+                Alcotest.(check bool) (label ^ " breakdown") true
+                  (breakdown = verdict.Backend.breakdown)
+            | Error reason, Error inf ->
+                incr rejected;
+                Alcotest.(check string) (label ^ " reason") reason inf.Backend.reason;
+                Alcotest.(check string) (label ^ " backend") (Backend.name backend)
+                  inf.Backend.backend
+            | Ok _, Error _ | Error _, Ok _ -> Alcotest.fail (label ^ ": feasibility differs")
+          in
+          let model s =
+            let pr = Swpm.Predict.run p s in
+            (pr.Swpm.Predict.t_total, Some pr)
+          in
+          expect Backend.static_model model;
+          expect Backend.roofline (fun s ->
+              ((Swpm.Roofline.analyze p s).Swpm.Roofline.predicted_cycles, None));
+          expect hybrid (fun s ->
+              if s.Sw_swacc.Lowered.gload_count = 0 then model s
+              else
+                let calibration = calibration kernel v.Sw_swacc.Kernel.active_cpes in
+                let pr = Swpm.Hybrid.predict p s ~calibration in
+                (pr.Swpm.Predict.t_total, Some pr)))
+        points)
+    Sw_workloads.Registry.all;
+  Alcotest.(check bool) "some points are rejected" true (!rejected > 0 && !rejected < !checked)
+
 (* ------------------------------------------------------------------ *)
 (* Pre-refactor equivalence: the backend-driven tuner and Fig 6 rows
    must equal the hand-rolled search at pool sizes 1 and 4. *)
@@ -162,13 +230,20 @@ let test_memo_hit_miss_accounting () =
   let second = Result.get_ok (Backend.assess b config kernel v) in
   Alcotest.(check int) "second is a hit" 1 (Backend.memo_hits memo);
   Alcotest.(check (float 0.0)) "same cycles" first.Backend.cycles second.Backend.cycles;
-  Alcotest.(check (float 0.0)) "hit costs nothing" 0.0
-    second.Backend.cost.Backend.host_wall_s;
   ignore (Backend.assess b config kernel v2);
   Alcotest.(check int) "different variant misses" 2 (Backend.memo_misses memo);
   Backend.memo_clear memo;
   ignore (Backend.assess b config kernel v);
-  Alcotest.(check int) "cleared table misses again" 3 (Backend.memo_misses memo)
+  Alcotest.(check int) "cleared table misses again" 3 (Backend.memo_misses memo);
+  (* over the simulator a miss bills the run and a hit bills nothing *)
+  let sim = Backend.memoized (Backend.memoize Backend.simulator) in
+  let miss = Result.get_ok (Backend.assess sim config kernel v) in
+  let hit = Result.get_ok (Backend.assess sim config kernel v) in
+  Alcotest.(check bool) "miss bills machine time" true (miss.Backend.cost.Backend.machine_us > 0.0);
+  Alcotest.(check bool) "miss bills events" true (miss.Backend.cost.Backend.machine_events > 0);
+  Alcotest.(check (float 0.0)) "hit bills no machine time" 0.0 hit.Backend.cost.Backend.machine_us;
+  Alcotest.(check int) "hit bills no events" 0 hit.Backend.cost.Backend.machine_events;
+  Alcotest.(check (float 0.0)) "hit has the miss's cycles" miss.Backend.cycles hit.Backend.cycles
 
 let test_memo_caches_infeasibility () =
   let memo = Backend.memoize Backend.static_model in
@@ -350,6 +425,7 @@ let tests =
       Alcotest.test_case "simulator = Engine.run" `Quick test_simulator_matches_engine;
       Alcotest.test_case "roofline = Roofline.analyze" `Quick test_roofline_matches_analyze;
       Alcotest.test_case "infeasible variant rejected" `Quick test_infeasible_variant_rejected;
+      Alcotest.test_case "backends = direct layer calls" `Quick test_backends_equal_direct_layers;
       Alcotest.test_case "tuner = hand-rolled search" `Quick test_tuner_matches_hand_rolled_search;
       Alcotest.test_case "table2 rows pool-invariant" `Slow test_table2_rows_pool_invariant;
       Alcotest.test_case "fig6 rows pool-invariant" `Slow test_fig6_rows_pool_invariant;

@@ -222,6 +222,22 @@ let test_bounds_negative_shortlist () =
       Alcotest.(check string) "field" "shortlist" e.Handler.field;
       Alcotest.(check string) "value" "-5" e.Handler.value
 
+let test_bounds_zero_rungs () =
+  names_field "rungs"
+    (daemon_error {|{"op": "tune", "kernel": "kmeans", "strategy": "halving", "rungs": 0}|});
+  (* the CLI's --rungs 0 reaches the same verb as this record *)
+  let req =
+    { (Handler.tune_defaults ~kernel:"kmeans") with Handler.t_strategy = "halving"; t_rungs = 0 }
+  in
+  (match Handler.tune (Handler.create ()) req with
+  | Ok _ -> Alcotest.fail "tune accepted rungs 0"
+  | Error msg -> names_field "rungs" msg);
+  match Handler.check_bounds (Handler.Tune req) with
+  | Ok () -> Alcotest.fail "rungs 0 within bounds"
+  | Error e ->
+      Alcotest.(check string) "value" "0" e.Handler.value;
+      Alcotest.(check string) "expected" "an integer >= 1" e.Handler.expected
+
 let test_request_key () =
   let parse line = Result.get_ok (Handler.parse_request line) in
   let a = parse {|{"id": 1, "op": "tune", "kernel": "kmeans", "seed": 5}|} in
@@ -291,6 +307,28 @@ let test_every_response_validates () =
   (* error responses really are errors *)
   let resp = run_line state {|{"id": 8, "op": "predict", "kernel": "nope"}|} in
   Alcotest.(check bool) "unknown kernel is an error" true (Result.is_error resp.Handler.result)
+
+(* Verdicts carry no host time; the predict verb times its assessment
+   and reports it under the same keys as before. *)
+let test_predict_reports_host_time () =
+  List.iter
+    (fun backend ->
+      (* cold caches, so even the model's assessment does measurable work *)
+      Sw_swacc.Lower.clear_cache ();
+      Sw_isa.Schedule.clear_cache ();
+      let req = { (Handler.predict_defaults ~kernel:"kmeans") with Handler.p_backend = backend } in
+      match Handler.predict (Handler.create ()) req with
+      | Error msg -> Alcotest.failf "%s predict failed: %s" backend msg
+      | Ok pr ->
+          let payload = Handler.predict_payload req pr in
+          let field k =
+            match Option.bind (Json.member k payload) Json.to_float with
+            | Some f -> f
+            | None -> Alcotest.failf "%s predict: no %s" backend k
+          in
+          Alcotest.(check bool) (backend ^ ": host_wall_s > 0") true (field "host_wall_s" > 0.0);
+          Alcotest.(check bool) (backend ^ ": host_cpu_s >= 0") true (field "host_cpu_s" >= 0.0))
+    [ "model"; "sim" ]
 
 let test_daemon_equals_oneshot () =
   let check_line line =
@@ -877,10 +915,12 @@ let tests =
       Alcotest.test_case "bounds: zero scale refused" `Quick test_bounds_zero_scale;
       Alcotest.test_case "bounds: non-finite scale refused" `Quick test_bounds_non_finite_scale;
       Alcotest.test_case "bounds: negative shortlist refused" `Quick test_bounds_negative_shortlist;
+      Alcotest.test_case "bounds: zero rungs refused" `Quick test_bounds_zero_rungs;
       Alcotest.test_case "request keys ignore id and checkpoint" `Quick test_request_key;
       Alcotest.test_case "strip_volatile is recursive" `Quick test_strip_volatile;
       Alcotest.test_case "every response validates and round-trips" `Quick
         test_every_response_validates;
+      Alcotest.test_case "predict reports host time" `Quick test_predict_reports_host_time;
       Alcotest.test_case "daemon result = one-shot result" `Quick test_daemon_equals_oneshot;
       Alcotest.test_case "memo cache survives across requests" `Quick
         test_shared_memo_across_requests;

@@ -94,6 +94,23 @@ let test_best_beats_default () =
   Alcotest.(check bool) "tuned variant at least as fast as default" true
     (o.Tuner.best_cycles <= o.Tuner.default_cycles +. 1.0)
 
+(* verdicts carry no host time, so the tune itself times the validation
+   runs of the best and default variants, next to tuning_host_s *)
+let test_verify_time_reported () =
+  let entry = Sw_workloads.Registry.find_exn "lud" in
+  let kernel = entry.Sw_workloads.Registry.build ~scale:0.5 in
+  let tune method_ =
+    let o =
+      Tuner.tune_exn ~backend:(Tuner.backend_of_method method_) config kernel ~points:(points entry)
+    in
+    Alcotest.(check bool) "verify_host_s in the JSON" true
+      (Sw_obs.Json.member "verify_host_s" (Tuner.outcome_to_json o)
+      = Some (Sw_obs.Json.Float o.Tuner.verify_host_s));
+    o.Tuner.verify_host_s
+  in
+  Alcotest.(check bool) "model tune: verify_host_s >= 0" true (tune Tuner.Static >= 0.0);
+  Alcotest.(check bool) "sim tune: verify_host_s > 0" true (tune Tuner.Empirical > 0.0)
+
 let test_pp_outcome () =
   let entry = Sw_workloads.Registry.find_exn "lud" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.5 in
@@ -114,5 +131,6 @@ let tests =
       Alcotest.test_case "infeasible counted" `Quick test_infeasible_counted;
       Alcotest.test_case "no feasible point typed error" `Quick test_no_feasible_point_typed_error;
       Alcotest.test_case "best beats default" `Quick test_best_beats_default;
+      Alcotest.test_case "verify time reported" `Quick test_verify_time_reported;
       Alcotest.test_case "pp outcome" `Quick test_pp_outcome;
     ] )
