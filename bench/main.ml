@@ -775,9 +775,12 @@ let microbench () =
       (* full compile: what both tuners pay to build a runnable variant *)
       Test.make ~name:"lower (full compile)"
         (Staged.stage (fun () -> ignore (Sw_swacc.Lower.lower_exn params kernel variant)));
-      (* a profiling run: what only the empirical tuner pays *)
+      (* a profiling run: what only the empirical tuner pays (the
+         engine itself: through the machine doorway every repeat would
+         be a memo hit) *)
       Test.make ~name:"simulate (empirical tuner)"
-        (Staged.stage (fun () -> ignore (Sw_backend.Machine.metrics config lowered)));
+        (Staged.stage (fun () ->
+             ignore (Sw_sim.Engine.run config lowered.Sw_swacc.Lowered.programs)));
       (* per-block static scheduling, the model's T_comp input *)
       Test.make ~name:"schedule block"
         (Staged.stage (fun () ->
@@ -1920,6 +1923,213 @@ let lower_bench () =
   if not (equal_ok && speed_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
+(* Re-simulation: the machine doorway's result memo on the Table II
+   tuning pass — per kernel an exhaustive, a shortlist and an adaptive
+   sim tune plus a static tune, from cold caches, as one process runs
+   them. *)
+
+type resim_job = {
+  rj_kernel_name : string;
+  rj_label : string;
+  rj_kernel : Sw_swacc.Kernel.t;
+  rj_points : Sw_tuning.Space.point list;
+  rj_default : Sw_swacc.Kernel.variant;
+  rj_backend : Sw_backend.Backend.t;
+  rj_strategy : Sw_tuning.Search.t;
+}
+
+(* what one tune cost the machine doorway *)
+type resim_row = {
+  rr_job : resim_job;
+  rr_outcome : Sw_tuning.Tuner.outcome;
+  rr_runs : int;  (* engine runs *)
+  rr_hits : int;  (* answered by the memo *)
+  rr_verify_runs : int;  (* engine runs of the best/default verification *)
+}
+
+let resim_bench () =
+  section "Re-simulation: the machine doorway's result memo on Table II";
+  let params = Sw_arch.Params.default in
+  let config = Sw_sim.Config.default params in
+  let module Registry = Sw_workloads.Registry in
+  let module Machine = Sw_backend.Machine in
+  let module Backend = Sw_backend.Backend in
+  let module Search = Sw_tuning.Search in
+  let module Tuner = Sw_tuning.Tuner in
+  let passes = 3 and runs_gate = 135 in
+  (* engine runs made inside the search's own assessments; the rest of
+     a tune's engine runs are its verification *)
+  let search_runs = ref 0 in
+  let counted inner : Backend.t =
+    (module struct
+      let name = Backend.name inner
+
+      let description = Backend.description inner
+
+      let assess ?cutoff ?event_budget config kernel variant =
+        let _, m0 = Machine.cache_stats () in
+        let r = Backend.assess_budget ?cutoff ?event_budget inner config kernel variant in
+        let _, m1 = Machine.cache_stats () in
+        search_runs := !search_runs + (m1 - m0);
+        r
+    end)
+  in
+  let jobs =
+    List.concat_map
+      (fun (e : Registry.entry) ->
+        let kernel = e.Registry.build ~scale:4.0 in
+        let points =
+          Sw_tuning.Space.enumerate ~grains:e.Registry.grains ~unrolls:e.Registry.unrolls ()
+        in
+        let rank = Backend.static_model and k = Stdlib.max 1 (List.length points / 4) in
+        List.map
+          (fun (label, backend, strategy) ->
+            {
+              rj_kernel_name = e.Registry.name;
+              rj_label = label;
+              rj_kernel = kernel;
+              rj_points = points;
+              rj_default = e.Registry.variant;
+              rj_backend = counted backend;
+              rj_strategy = strategy;
+            })
+          [
+            ("sim exhaustive", Backend.simulator, Search.exhaustive);
+            ("sim shortlist", Backend.simulator, Search.shortlist ~rank ~k ());
+            ("sim adaptive", Backend.simulator, Search.adaptive_shortlist ~rank ~k ());
+            ("model exhaustive", Backend.static_model, Search.exhaustive);
+          ])
+      Registry.tuning_subset
+  in
+  let tune job =
+    let h0, m0 = Machine.cache_stats () and s0 = !search_runs in
+    let o =
+      Tuner.tune_exn ~backend:job.rj_backend ~strategy:job.rj_strategy ~default:job.rj_default
+        config job.rj_kernel ~points:job.rj_points
+    in
+    let h1, m1 = Machine.cache_stats () in
+    {
+      rr_job = job;
+      rr_outcome = o;
+      rr_runs = m1 - m0;
+      rr_hits = h1 - h0;
+      rr_verify_runs = m1 - m0 - (!search_runs - s0);
+    }
+  in
+  let pass () =
+    Sw_swacc.Lower.clear_cache ();
+    Sw_isa.Schedule.clear_cache ();
+    let t0 = Unix.gettimeofday () in
+    let rows = List.map tune jobs in
+    (rows, Unix.gettimeofday () -. t0)
+  in
+  let results = List.init passes (fun _ -> pass ()) in
+  let rows = fst (List.hd results) in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  let runs = sum (fun r -> r.rr_runs)
+  and hits = sum (fun r -> r.rr_hits)
+  and verify_runs = sum (fun r -> r.rr_verify_runs) in
+  (* every pass counts and picks exactly as the first *)
+  let digest rows =
+    List.map
+      (fun r ->
+        let o = r.rr_outcome in
+        ( (r.rr_runs, r.rr_hits, r.rr_verify_runs),
+          (o.Tuner.best, o.Tuner.best_cycles, o.Tuner.default_cycles),
+          (o.Tuner.evaluated, o.Tuner.points_pruned) ))
+      rows
+  in
+  let repeatable = List.for_all (fun (r, _) -> digest r = digest rows) results in
+  (* every reported cycle count against the engine on a fresh lowering *)
+  let mismatches = ref 0 in
+  List.iter
+    (fun r ->
+      let j = r.rr_job and o = r.rr_outcome in
+      let fresh v =
+        (Sw_sim.Engine.run config (Sw_swacc.Lower.lower_exn params j.rj_kernel v).Sw_swacc.Lowered.programs)
+          .Sw_sim.Metrics.cycles
+      in
+      if fresh o.Tuner.best <> o.Tuner.best_cycles || fresh j.rj_default <> o.Tuner.default_cycles
+      then begin
+        incr mismatches;
+        Printf.printf "MISMATCH %s %s: best %.1f or default %.1f differs from a fresh engine run\n"
+          j.rj_kernel_name j.rj_label o.Tuner.best_cycles o.Tuner.default_cycles
+      end)
+    rows;
+  let t =
+    Sw_util.Table.create ~title:"Table II tunes at scale 4, one cold pass"
+      [
+        ("kernel", Sw_util.Table.Left);
+        ("tune", Sw_util.Table.Left);
+        ("priced", Sw_util.Table.Right);
+        ("pruned", Sw_util.Table.Right);
+        ("engine runs", Sw_util.Table.Right);
+        ("memo hits", Sw_util.Table.Right);
+        ("verify runs", Sw_util.Table.Right);
+      ]
+  in
+  List.iter
+    (fun r ->
+      Sw_util.Table.add_row t
+        [
+          r.rr_job.rj_kernel_name;
+          r.rr_job.rj_label;
+          string_of_int r.rr_outcome.Tuner.evaluated;
+          string_of_int r.rr_outcome.Tuner.points_pruned;
+          string_of_int r.rr_runs;
+          string_of_int r.rr_hits;
+          string_of_int r.rr_verify_runs;
+        ])
+    rows;
+  Sw_util.Table.print t;
+  let pass_s = Sw_util.Stats.median (Array.of_list (List.map snd results)) in
+  Printf.printf
+    "per pass: %d machine calls, %d engine runs, %d answered by the memo; verification engine runs: %d\n"
+    (runs + hits) runs hits verify_runs;
+  Printf.printf "median pass %.3f s over %d cold passes; passes repeat exactly: %b\n" pass_s
+    passes repeatable;
+  Printf.printf "outcomes checked against a fresh engine run: %d, mismatches: %d\n"
+    (List.length rows) !mismatches;
+  let exact_ok = !mismatches = 0 && repeatable
+  and verify_ok = verify_runs = 0
+  and runs_ok = runs <= runs_gate in
+  if not exact_ok then
+    Printf.printf "GATE FAILED: outcomes differ from a fresh engine run or between passes\n";
+  if not verify_ok then
+    Printf.printf "GATE FAILED: verification ran the engine %d times\n" verify_runs;
+  if not runs_ok then Printf.printf "GATE FAILED: %d engine runs per pass > %d\n" runs runs_gate;
+  add_json "resim"
+    (json_obj
+       [
+         ("passes", string_of_int passes);
+         ("machine_calls", string_of_int (runs + hits));
+         ("engine_runs", string_of_int runs);
+         ("memo_hits", string_of_int hits);
+         ("verify_engine_runs", string_of_int verify_runs);
+         ("engine_runs_gate", string_of_int runs_gate);
+         ("outcomes_checked", string_of_int (List.length rows));
+         ("mismatches", string_of_int !mismatches);
+         ("repeatable", string_of_bool repeatable);
+         ("median_pass_s", json_float pass_s);
+         ( "rows",
+           json_list
+             (List.map
+                (fun r ->
+                  json_obj
+                    [
+                      ("kernel", Printf.sprintf "%S" r.rr_job.rj_kernel_name);
+                      ("tune", Printf.sprintf "%S" r.rr_job.rj_label);
+                      ("priced", string_of_int r.rr_outcome.Tuner.evaluated);
+                      ("pruned", string_of_int r.rr_outcome.Tuner.points_pruned);
+                      ("engine_runs", string_of_int r.rr_runs);
+                      ("memo_hits", string_of_int r.rr_hits);
+                      ("verify_engine_runs", string_of_int r.rr_verify_runs);
+                    ])
+                rows) );
+       ]);
+  if not (exact_ok && verify_ok && runs_ok) then exit 1
+
+(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -1946,6 +2156,7 @@ let all =
     ("engine", engine);
     ("static", static_bench);
     ("lower", lower_bench);
+    ("resim", resim_bench);
     ("serve", serve_bench);
     ("shard", shard_bench);
     ("chaos", chaos_bench);

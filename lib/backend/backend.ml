@@ -317,6 +317,14 @@ let memoize ?sink (inner : t) : memo =
     let description = Printf.sprintf "memoizing %s" I.description
 
     let assess ?cutoff ?event_budget config kernel (variant : Kernel.variant) =
+      if Option.is_some cutoff || Option.is_some event_budget then begin
+        (* a budgeted query gets exactly the answer a fresh search would:
+           the inner backend's, never a cached full verdict *)
+        Atomic.incr misses;
+        observe "memo.misses";
+        I.assess ?cutoff ?event_budget config kernel variant
+      end
+      else
       let key =
         {
           mk_config = config;
@@ -328,8 +336,8 @@ let memoize ?sink (inner : t) : memo =
       in
       (* single-flight: racing misses of one key wait for the first
          domain instead of computing again, so the inner backend is
-         asked exactly once per distinct key (Cut_off aside) and the
-         counters are exact under any fan-out *)
+         asked exactly once per distinct key and the counters are exact
+         under any fan-out *)
       let decision =
         Mutex.lock lock;
         Fun.protect
@@ -351,9 +359,7 @@ let memoize ?sink (inner : t) : memo =
       | `Hit r ->
           Atomic.incr hits;
           observe "memo.hits";
-          (* the work was already paid for by the miss; a hit under a
-             budget returns the full cached verdict — free, and strictly
-             more informative than a Cut_off *)
+          (* the work was already paid for by the miss *)
           (match r with
           | Assessed v -> Assessed { v with cost = zero_cost }
           | Infeasible _ as r -> r
@@ -369,13 +375,12 @@ let memoize ?sink (inner : t) : memo =
             Condition.broadcast cond;
             Mutex.unlock lock
           in
-          (match I.assess ?cutoff ?event_budget config kernel variant with
+          (match I.assess config kernel variant with
           | exception e ->
               publish None;
               raise e
           | Cut_off _ as r ->
-              (* a Cut_off is budget-dependent, not a property of the
-                 variant: don't poison the table with it *)
+              (* only a budget can cut a run off; never stored *)
               publish None;
               r
           | (Assessed _ | Infeasible _) as r ->

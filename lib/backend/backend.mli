@@ -222,14 +222,17 @@ val instrument : Sw_obs.Sink.t -> t -> t
     mutex-guarded and composes with {!Sw_util.Pool} fan-out: misses are
     {e single-flight} — racing misses of one key block on a condition
     until the first domain publishes, so the inner backend is asked
-    exactly once per distinct key and the hit/miss counters are exact
+    once per distinct unbudgeted key and the hit/miss counters are exact
     under any concurrency (waiters count as hits; they did not
     compute).
 
-    Budgets and the cache: a [Cut_off] is a property of the budget, not
-    the variant, so it is never stored; a hit under a budget returns
-    the cached full verdict (free, and strictly more informative than
-    re-deriving a [Cut_off]). *)
+    Budgets and the cache: only unbudgeted queries are answered from
+    the table.  A query with a [cutoff] or an [event_budget] goes
+    straight to the inner backend (counted as a miss, never stored), so
+    a pruned search on a warm memo prices and prunes exactly the points
+    a fresh search would.  Over {!simulator} this stays cheap: the
+    machine doorway ({!Machine}) answers a budgeted re-run of a run it
+    has already finished from its own memo, whenever that is exact. *)
 
 type memo
 

@@ -38,6 +38,9 @@ let run ?(scale = 1.0) ?(params = Sw_arch.Params.default) ?pool ?strategy () =
       let points = Sw_tuning.Space.enumerate ~grains:e.grains ~unrolls:e.unrolls () in
       let default = guideline_default params kernel ~grains:e.grains in
       let tune ?strategy method_ =
+        (* empty the minor heap first, so a sub-millisecond static tune
+           does not pay for promoting what the previous tune left there *)
+        Gc.minor ();
         Sw_tuning.Tuner.tune_exn
           ~backend:(Sw_tuning.Tuner.backend_of_method method_)
           ?strategy ~default ?pool config kernel ~points

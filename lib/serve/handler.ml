@@ -271,6 +271,34 @@ let parse_timeline j =
   let* l_fault_level = dflt "mild" (opt_str "fault_level" j) in
   Ok { l_kernel; l_scale; l_grain; l_unroll; l_cpes; l_db; l_seed; l_faults; l_fault_level }
 
+(* The fields each op reads, besides the envelope's [id], [op] and
+   [deadline_ms]: anything else in a request is refused by name, so a
+   typo is an error rather than a silent default. *)
+let predict_fields =
+  [ "kernel"; "scale"; "cgs"; "grain"; "unroll"; "cpes"; "double_buffer"; "backend"; "seed";
+    "faults"; "fault_level" ]
+
+let tune_fields =
+  [ "kernel"; "scale"; "backend"; "strategy"; "rank"; "shortlist"; "rungs"; "robust"; "seed";
+    "faults"; "fault_level"; "checkpoint"; "workers"; "max_restarts"; "hang_timeout_s";
+    "grains"; "unrolls"; "db_both" ]
+
+let timeline_fields =
+  [ "kernel"; "scale"; "grain"; "unroll"; "cpes"; "double_buffer"; "seed"; "faults";
+    "fault_level" ]
+
+let known_fields op fields j =
+  let accepted = "id" :: "op" :: "deadline_ms" :: fields in
+  match j with
+  | Json.Obj members -> (
+      match List.find_opt (fun (k, _) -> not (List.mem k accepted)) members with
+      | None -> Ok ()
+      | Some (k, _) ->
+          Error
+            (Printf.sprintf "unknown field %S for op %S (accepted: %s)" k op
+               (String.concat ", " accepted)))
+  | _ -> Ok ()
+
 let parse_request line =
   let* j = Json.parse line in
   let id = Option.value (Json.member "id" j) ~default:Json.Null in
@@ -283,13 +311,14 @@ let parse_request line =
         | None -> Error "field \"op\": expected a string")
   in
   let* verb =
+    let checked fields verb = Result.bind (known_fields op fields j) (fun () -> verb) in
     match op with
-    | "ping" -> Ok Ping
-    | "metrics" -> Ok Metrics
-    | "shutdown" -> Ok Shutdown
-    | "predict" -> Result.map (fun r -> Predict r) (parse_predict j)
-    | "tune" -> Result.map (fun r -> Tune r) (parse_tune j)
-    | "timeline" -> Result.map (fun r -> Timeline r) (parse_timeline j)
+    | "ping" -> checked [] (Ok Ping)
+    | "metrics" -> checked [] (Ok Metrics)
+    | "shutdown" -> checked [] (Ok Shutdown)
+    | "predict" -> checked predict_fields (Result.map (fun r -> Predict r) (parse_predict j))
+    | "tune" -> checked tune_fields (Result.map (fun r -> Tune r) (parse_tune j))
+    | "timeline" -> checked timeline_fields (Result.map (fun r -> Timeline r) (parse_timeline j))
     | other ->
         Error
           (Printf.sprintf

@@ -137,8 +137,10 @@ val parse_request : string -> (request, string) result
     object with an ["op"] field naming the verb plus the flat fields of
     the corresponding record (["kernel"], ["scale"], ["backend"],
     ["seed"], …; ["double_buffer"] for the flag); absent fields take
-    the CLI's defaults, unknown fields are ignored, wrong-typed fields
-    are readable errors. *)
+    the CLI's defaults, wrong-typed fields are readable errors, and a
+    field the op does not read (besides ["id"], ["op"] and
+    ["deadline_ms"]) is refused with an error naming it, e.g.
+    [unknown field "worker" for op "tune" (accepted: …)]. *)
 
 val is_tune : request -> bool
 

@@ -754,6 +754,9 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
           gload_requests = st.gload_requests;
           mc_busy_cycles = Array.copy st.mc_busy;
           events = st.processed;
+          (* an empty pop leaves [tbuf] alone, so it still holds the
+             clock of the last event processed *)
+          last_event_at = st.tbuf.(0);
           retries = st.retries;
           backoff_cycles = st.acc.(0);
         }

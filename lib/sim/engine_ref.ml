@@ -419,7 +419,7 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
      abandoned.  The comparison is strict so a run that exactly ties
      the incumbent still completes — pruned searches keep the
      earliest-index tie-break of the exhaustive argmin. *)
-  let rec loop () =
+  let rec loop last =
     match Sw_util.Heap.pop st.events with
     | None ->
         if Array.exists (fun c -> not c.finished) st.cpes then
@@ -431,19 +431,19 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
                      (fun i c -> if (not c.finished) && !found < 0 then found := i)
                      st.cpes;
                    !found)));
-        None
+        `Done last
     | Some (at, ev) ->
-        if at > cutoff || st.processed >= event_budget then Some at
+        if at > cutoff || st.processed >= event_budget then `Cut at
         else begin
           st.processed <- st.processed + 1;
           if st.processed > config.max_events then raise Event_limit;
           handle_event st ~at ev;
-          loop ()
+          loop at
         end
   in
-  match loop () with
-  | Some at -> Cutoff { at; events = st.processed }
-  | None ->
+  match loop 0.0 with
+  | `Cut at -> Cutoff { at; events = st.processed }
+  | `Done last_event_at ->
       let finish = Array.map (fun c -> c.finish_time) cpes in
       let maxf f = Array.fold_left (fun acc c -> Stdlib.max acc (f c)) 0.0 cpes in
       Finished
@@ -460,6 +460,7 @@ let run_internal ?recorder ?req_recorder ?retry_recorder ?cutoff ?event_budget
           gload_requests = st.gload_requests;
           mc_busy_cycles = Array.map (fun mc -> mc.busy) st.mcs;
           events = st.processed;
+          last_event_at;
           retries = st.retries;
           backoff_cycles = st.backoff_cycles;
         }

@@ -11,6 +11,7 @@ type t = {
   gload_requests : int;
   mc_busy_cycles : float array;
   events : int;
+  last_event_at : float;
   retries : int;
   backoff_cycles : float;
 }

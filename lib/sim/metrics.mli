@@ -15,6 +15,12 @@ type t = {
   gload_requests : int;
   mc_busy_cycles : float array;  (** Per-core-group controller busy time. *)
   events : int;  (** Events processed (simulator diagnostics). *)
+  last_event_at : float;
+      (** Clock of the last event processed.  Events are processed in
+          time order, so a budgeted re-run of the same programs under
+          the same configuration finishes — with these very metrics —
+          exactly when its cutoff is at least this and its event budget
+          at least [events]; otherwise it is cut off. *)
   retries : int;
       (** DMA requests re-admitted after an injected transient failure
           ([0] unless {!Config.faults} injects failures). *)

@@ -31,9 +31,10 @@ type outcome = {
 
 (* Quality is always judged on the machine, whichever backend searched:
    one validation run each for the best and the default variant, timed
-   as [verify_host_s] rather than billed as tuning cost.  The cached
-   lowering means re-running what the simulator backend just assessed
-   compiles nothing. *)
+   as [verify_host_s] rather than billed as tuning cost.  Re-running
+   what the simulator backend just assessed compiles nothing (the
+   lowering is cached) and simulates nothing (the machine doorway
+   memoizes the finished run on that lowering). *)
 let verify config kernel ~best ~default =
   let params = config.Sw_sim.Config.params in
   let run variant =

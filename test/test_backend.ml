@@ -278,6 +278,149 @@ let test_memo_composes_with_pool () =
   Alcotest.(check bool) "second search served from cache" true
     (Backend.memo_hits memo >= List.length points)
 
+(* Budgeted queries bypass the table: a warm memo answers a cutoff the
+   way the bare backend does, never with the cached full verdict. *)
+let test_memo_budgeted_queries_go_inner () =
+  let memo = Backend.memoize Backend.simulator in
+  let b = Backend.memoized memo in
+  let kernel = kernel_of "kmeans" 0.25 in
+  let v = (entry "kmeans").Sw_workloads.Registry.variant in
+  let full = Result.get_ok (Backend.assess b config kernel v) in
+  let cutoff = full.Backend.cycles /. 2.0 in
+  let bare = Backend.assess_budget ~cutoff Backend.simulator config kernel v in
+  let warm = Backend.assess_budget ~cutoff b config kernel v in
+  Alcotest.(check bool) "cut off, as without the memo" true
+    (match warm with Backend.Cut_off _ -> warm = bare | _ -> false);
+  (* a budget the run fits in gets the full verdict at its full cost *)
+  Alcotest.(check bool) "unbounded cutoff: the full verdict" true
+    (Backend.assess_budget ~cutoff:infinity b config kernel v = Backend.Assessed full);
+  Alcotest.(check int) "budgeted queries are misses" 3 (Backend.memo_misses memo);
+  Alcotest.(check int) "never hits" 0 (Backend.memo_hits memo)
+
+(* ------------------------------------------------------------------ *)
+(* The machine doorway's result memo *)
+
+module Machine = Sw_backend.Machine
+
+let engine_result = function
+  | Sw_sim.Engine.Finished m -> `Finished m
+  | Sw_sim.Engine.Cutoff { at; events } -> `Cutoff (at, events)
+
+(* Differential: for random registry kernels, variants, jitter seeds and
+   fault plans, budgeted queries on one warm lowering, in a random
+   order, answer exactly what the engine answers on a fresh lowering —
+   including cutoffs at exactly the last event's clock, just below it
+   and at the makespan, and event budgets of [events] and [events - 1].
+   And the memo must really answer: after the first finished run of a
+   configuration, every later query that finishes is a hit and every
+   query that is cut off is a miss. *)
+let prop_machine_memo_exact =
+  let entries = Array.of_list Sw_workloads.Registry.all in
+  QCheck.Test.make ~name:"machine memo = engine on a fresh lowering" ~count:12
+    QCheck.(
+      quad
+        (int_range 0 (Array.length entries - 1))
+        (pair (int_range 0 3) (int_range 1 4))
+        (pair small_nat small_nat) int)
+    (fun (ei, (gi, unroll), (seed, fault_seed), order) ->
+      let e = entries.(ei) in
+      let kernel = e.Sw_workloads.Registry.build ~scale:0.25 in
+      let grain = List.nth [ 8; 16; 32; 64 ] gi in
+      let v = { Sw_swacc.Kernel.grain; unroll; active_cpes = 64; double_buffer = false } in
+      match (Sw_swacc.Lower.lower p kernel v, Sw_swacc.Lower.lower p kernel v) with
+      | Error _, _ | _, Error _ -> QCheck.assume_fail () (* infeasible variant: vacuous *)
+      | Ok warm, Ok fresh ->
+          let configs =
+            [
+              { config with Sw_sim.Config.seed };
+              Sw_fault.Fault.plan ~spec:Sw_fault.Fault.mild ~seed:fault_seed config;
+            ]
+          in
+          let queries =
+            List.concat_map
+              (fun c ->
+                let m = Sw_sim.Engine.run c fresh.Sw_swacc.Lowered.programs in
+                let last = m.Sw_sim.Metrics.last_event_at and n = m.Sw_sim.Metrics.events in
+                List.map
+                  (fun (cutoff, budget) -> (c, cutoff, budget))
+                  [
+                    (None, None);
+                    (Some last, None);
+                    (Some (Float.pred last), None);
+                    (Some m.Sw_sim.Metrics.cycles, None);
+                    (None, Some n);
+                    (None, Some (n - 1));
+                    (Some last, Some n);
+                  ])
+              configs
+          in
+          let rng = Random.State.make [| order |] in
+          let queries =
+            List.map snd
+              (List.sort compare
+                 (List.map (fun q -> (Random.State.bits rng, q)) queries))
+          in
+          let h0, m0 = Machine.cache_stats () in
+          let stored = Hashtbl.create 2 in
+          let expected_hits = ref 0 in
+          let agree =
+            List.for_all
+              (fun (c, cutoff, event_budget) ->
+                let expected =
+                  engine_result
+                    (Sw_sim.Engine.run_budget ?cutoff ?event_budget c
+                       fresh.Sw_swacc.Lowered.programs)
+                in
+                (match expected with
+                | `Finished _ ->
+                    if Hashtbl.mem stored c then incr expected_hits
+                    else Hashtbl.replace stored c ()
+                | `Cutoff _ -> ());
+                engine_result (Machine.run_budget ?cutoff ?event_budget c warm) = expected)
+              queries
+          in
+          let h1, m1 = Machine.cache_stats () in
+          agree
+          && h1 - h0 = !expected_hits
+          && m1 - m0 = List.length queries - !expected_hits)
+
+(* A caller mutating the arrays of a memoized answer must not change
+   what the next caller reads. *)
+let test_machine_memo_returns_copies () =
+  let kernel = kernel_of "kmeans" 0.25 in
+  let v = (entry "kmeans").Sw_workloads.Registry.variant in
+  let lowered = Sw_swacc.Lower.lower_exn p kernel v in
+  let engine = Sw_sim.Engine.run config lowered.Sw_swacc.Lowered.programs in
+  let first = Machine.metrics config lowered in
+  Array.fill first.Sw_sim.Metrics.per_cpe_finish 0
+    (Array.length first.Sw_sim.Metrics.per_cpe_finish) (-1.0);
+  Array.fill first.Sw_sim.Metrics.mc_busy_cycles 0
+    (Array.length first.Sw_sim.Metrics.mc_busy_cycles) (-1.0);
+  let h0, _ = Machine.cache_stats () in
+  let second = Machine.metrics config lowered in
+  let h1, _ = Machine.cache_stats () in
+  Alcotest.(check int) "second run is a hit" 1 (h1 - h0);
+  Alcotest.(check bool) "hit = engine, untouched by the first caller" true (second = engine)
+
+(* The memo never outlives a lowering: after [Lower.clear_cache] the
+   cached lowering is a new value, and simulating it runs the engine. *)
+let test_machine_memo_dies_with_the_lowering () =
+  let kernel = kernel_of "lud" 0.5 in
+  let v = (entry "lud").Sw_workloads.Registry.variant in
+  let a = Sw_swacc.Lower.lower_cached_exn p kernel v in
+  let ca = Machine.cycles config a in
+  let _, m0 = Machine.cache_stats () in
+  ignore (Machine.cycles config a);
+  let _, m1 = Machine.cache_stats () in
+  Alcotest.(check int) "same lowering: no engine run" 0 (m1 - m0);
+  Sw_swacc.Lower.clear_cache ();
+  let b = Sw_swacc.Lower.lower_cached_exn p kernel v in
+  Alcotest.(check bool) "a fresh lowering" true (a != b);
+  let cb = Machine.cycles config b in
+  let _, m2 = Machine.cache_stats () in
+  Alcotest.(check int) "fresh lowering: one engine run" 1 (m2 - m1);
+  Alcotest.(check (float 0.0)) "same cycles" ca cb
+
 (* ------------------------------------------------------------------ *)
 (* Hybrid *)
 
@@ -432,6 +575,12 @@ let tests =
       Alcotest.test_case "memo hit/miss accounting" `Quick test_memo_hit_miss_accounting;
       Alcotest.test_case "memo caches infeasibility" `Quick test_memo_caches_infeasibility;
       Alcotest.test_case "memo composes with pool" `Quick test_memo_composes_with_pool;
+      Alcotest.test_case "memo sends budgeted queries inner" `Quick
+        test_memo_budgeted_queries_go_inner;
+      QCheck_alcotest.to_alcotest prop_machine_memo_exact;
+      Alcotest.test_case "machine memo returns copies" `Quick test_machine_memo_returns_copies;
+      Alcotest.test_case "machine memo dies with the lowering" `Quick
+        test_machine_memo_dies_with_the_lowering;
       Alcotest.test_case "hybrid = static without gloads" `Quick test_hybrid_no_gloads_equals_static;
       Alcotest.test_case "hybrid profiles once" `Quick test_hybrid_profiles_once_per_kernel;
       Alcotest.test_case "hybrid pool-deterministic" `Quick test_hybrid_pool_deterministic;

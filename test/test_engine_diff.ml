@@ -142,6 +142,37 @@ let test_budget_identical () =
         true (a = b))
     [ 0; 1; 7; full.Metrics.events / 2; full.Metrics.events; full.Metrics.events + 100 ]
 
+(* Both engines report the clock of the last event a finished run
+   processed, and it is the exact boundary of a budgeted re-run: a
+   cutoff at that clock (or an event budget of [events]) still
+   finishes with the same metrics, one just below it is cut off. *)
+let test_last_event_identical () =
+  List.iter
+    (fun (name, cfg) ->
+      List.iter
+        (fun seed ->
+          let progs = gen_fleet seed 16 in
+          let flats = Engine.compile cfg progs in
+          let a = Engine_ref.run cfg progs and b = Engine.run cfg flats in
+          let label what = Printf.sprintf "%s seed %d: %s" name seed what in
+          Alcotest.(check (float 0.0)) (label "last event at") a.Metrics.last_event_at
+            b.Metrics.last_event_at;
+          let last = b.Metrics.last_event_at and events = b.Metrics.events in
+          List.iter
+            (fun (what, cutoff, event_budget, finishes) ->
+              let r = ref_result (Engine_ref.run_budget ?cutoff ?event_budget cfg progs) in
+              let o = opt_result (Engine.run_budget ?cutoff ?event_budget cfg flats) in
+              Alcotest.(check bool) (label (what ^ " identical")) true (r = o);
+              Alcotest.(check bool) (label what) finishes (o = `Finished b))
+            [
+              ("cutoff at the last event", Some last, None, true);
+              ("cutoff just below it", Some (Float.pred last), None, false);
+              ("budget of all events", None, Some events, true);
+              ("budget one short", None, Some (events - 1), false);
+            ])
+        [ 0; 1; 2; 3 ])
+    configs
+
 let test_event_limit_identical () =
   let cfg = { (Config.default p) with Config.max_events = 100 } in
   let progs = gen_fleet 3 16 in
@@ -253,6 +284,7 @@ let tests =
       Alcotest.test_case "metrics bit-identical across configs" `Quick test_metrics_identical;
       Alcotest.test_case "traces bit-identical" `Quick test_traces_identical;
       Alcotest.test_case "cutoff/budget bit-identical" `Quick test_budget_identical;
+      Alcotest.test_case "last event time identical and exact" `Quick test_last_event_identical;
       Alcotest.test_case "event limit identical" `Quick test_event_limit_identical;
       Alcotest.test_case "rejections identical" `Quick test_rejections_identical;
       Alcotest.test_case "empty-body repeat identical" `Quick test_empty_body_repeat_identical;

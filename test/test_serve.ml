@@ -170,6 +170,37 @@ let test_parse_request_errors () =
   Alcotest.(check bool) "unknown op named" true
     (String.length (err {|{"op": "frobnicate"}|}) > 0)
 
+(* A field the op does not read is a typo, not a default: the error
+   names it, on every op, through the daemon's request parser. *)
+let test_parse_request_unknown_field () =
+  let err line =
+    match Handler.parse_request line with
+    | Error msg -> msg
+    | Ok _ -> Alcotest.failf "accepted %S" line
+  in
+  let names field op msg =
+    let prefix = Printf.sprintf "unknown field %S for op %S" field op in
+    Alcotest.(check bool) (Printf.sprintf "%S names %s" msg field) true
+      (String.starts_with ~prefix msg)
+  in
+  names "worker" "tune" (err {|{"op": "tune", "kernel": "kmeans", "worker": 2}|});
+  names "strategy" "predict" (err {|{"op": "predict", "kernel": "kmeans", "strategy": "x"}|});
+  names "backend" "timeline" (err {|{"op": "timeline", "kernel": "lud", "backend": "sim"}|});
+  names "kernel" "ping" (err {|{"id": 1, "op": "ping", "kernel": "lud"}|});
+  (* the envelope and every field each op reads are accepted *)
+  List.iter
+    (fun line ->
+      match Handler.parse_request line with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "refused %S: %s" line msg)
+    [
+      {|{"id": 1, "op": "ping", "deadline_ms": 5}|};
+      {|{"id": "x", "op": "shutdown"}|};
+      {|{"op": "predict", "kernel": "kmeans", "scale": 0.5, "cgs": 1, "grain": 8, "unroll": 2, "cpes": 32, "double_buffer": true, "backend": "sim", "seed": 1, "faults": 1, "fault_level": "mild"}|};
+      {|{"op": "tune", "kernel": "kmeans", "scale": 0.5, "backend": "sim", "strategy": "shortlist", "rank": "model", "shortlist": 4, "rungs": 2, "robust": 2, "seed": 1, "faults": 1, "fault_level": "mild", "checkpoint": "j", "workers": 1, "max_restarts": 1, "hang_timeout_s": 2.0, "grains": "8..64", "unrolls": "1..4", "db_both": true}|};
+      {|{"op": "timeline", "kernel": "lud", "scale": 0.5, "grain": 8, "unroll": 2, "cpes": 32, "double_buffer": false, "seed": 1, "faults": 1, "fault_level": "mild"}|};
+    ]
+
 (* Out-of-bounds fields are refused with an error naming the field, on
    the daemon path (a request line through [Handler.run]) and on the
    CLI path (the record straight into the verb). *)
@@ -356,6 +387,30 @@ let test_daemon_equals_oneshot () =
       {|{"op": "tune", "kernel": "cfd", "scale": 0.25, "backend": "sim", "strategy": "adaptive", "rank": "surrogate", "seed": 11}|};
       {|{"op": "timeline", "kernel": "lud", "seed": 11, "faults": 2}|};
     ]
+
+(* A pruned tune served on a warm memo prices and prunes exactly what
+   the one-shot tune does: budgeted queries are never answered with a
+   cached full verdict (kmeans, seed 5: the default variant once moved
+   from 1731222.4 to 2000949.2 cycles). *)
+let test_warm_shortlist_equals_oneshot () =
+  let exhaustive = {|{"id": 1, "op": "tune", "kernel": "kmeans", "backend": "sim", "seed": 5}|} in
+  let shortlist =
+    {|{"id": 2, "op": "tune", "kernel": "kmeans", "backend": "sim", "strategy": "shortlist", "rank": "model", "seed": 5}|}
+  in
+  let payload resp =
+    match resp.Handler.result with
+    | Ok payload -> Handler.strip_volatile payload
+    | Error msg -> Alcotest.failf "tune failed: %s" msg
+  in
+  let state = Handler.create () in
+  ignore (payload (run_line state exhaustive));
+  let served = payload (run_line state shortlist) in
+  let oneshot = payload (run_line (Handler.create ()) shortlist) in
+  List.iter
+    (fun key ->
+      Alcotest.check (Alcotest.option json) key (Json.member key oneshot) (Json.member key served))
+    [ "default_cycles"; "evaluated"; "pruned" ];
+  Alcotest.check json "whole stripped payload" oneshot served
 
 let test_shared_memo_across_requests () =
   let state = Handler.create () in
@@ -911,6 +966,8 @@ let tests =
       Alcotest.test_case "parse_request applies CLI defaults" `Quick
         test_parse_request_defaults;
       Alcotest.test_case "parse_request readable errors" `Quick test_parse_request_errors;
+      Alcotest.test_case "parse_request refuses unknown fields" `Quick
+        test_parse_request_unknown_field;
       Alcotest.test_case "bounds: negative scale refused" `Quick test_bounds_negative_scale;
       Alcotest.test_case "bounds: zero scale refused" `Quick test_bounds_zero_scale;
       Alcotest.test_case "bounds: non-finite scale refused" `Quick test_bounds_non_finite_scale;
@@ -922,6 +979,8 @@ let tests =
         test_every_response_validates;
       Alcotest.test_case "predict reports host time" `Quick test_predict_reports_host_time;
       Alcotest.test_case "daemon result = one-shot result" `Quick test_daemon_equals_oneshot;
+      Alcotest.test_case "warm shortlist tune = one-shot" `Quick
+        test_warm_shortlist_equals_oneshot;
       Alcotest.test_case "memo cache survives across requests" `Quick
         test_shared_memo_across_requests;
       Alcotest.test_case "degraded tune sheds to the model" `Quick

@@ -111,6 +111,22 @@ let test_verify_time_reported () =
   Alcotest.(check bool) "model tune: verify_host_s >= 0" true (tune Tuner.Static >= 0.0);
   Alcotest.(check bool) "sim tune: verify_host_s > 0" true (tune Tuner.Empirical > 0.0)
 
+(* An exhaustive sim tune from cold caches simulates every feasible
+   point once; the best/default verification re-runs two of them and
+   must be answered by the machine doorway's memo, not the engine. *)
+let test_verify_simulates_nothing () =
+  let entry = Sw_workloads.Registry.find_exn "lud" in
+  let kernel = entry.Sw_workloads.Registry.build ~scale:0.5 in
+  Sw_swacc.Lower.clear_cache ();
+  let h0, m0 = Sw_backend.Machine.cache_stats () in
+  let o =
+    Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Empirical) config kernel
+      ~points:(points entry)
+  in
+  let h1, m1 = Sw_backend.Machine.cache_stats () in
+  Alcotest.(check int) "one engine run per priced point" o.Tuner.evaluated (m1 - m0);
+  Alcotest.(check int) "best and default answered from the memo" 2 (h1 - h0)
+
 let test_pp_outcome () =
   let entry = Sw_workloads.Registry.find_exn "lud" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.5 in
@@ -127,6 +143,7 @@ let tests =
       Alcotest.test_case "feasible filters SPM" `Quick test_feasible_filters_spm;
       Alcotest.test_case "tuners agree on kmeans" `Slow test_both_tuners_agree_on_kmeans;
       Alcotest.test_case "static never simulates" `Quick test_static_never_simulates;
+      Alcotest.test_case "verify simulates nothing" `Quick test_verify_simulates_nothing;
       Alcotest.test_case "empirical pays machine time" `Quick test_empirical_accumulates_machine_time;
       Alcotest.test_case "infeasible counted" `Quick test_infeasible_counted;
       Alcotest.test_case "no feasible point typed error" `Quick test_no_feasible_point_typed_error;
