@@ -214,9 +214,9 @@ let parallel () =
 
 (* The Table II empirical sweep under each search strategy: exhaustive
    (every point simulated) vs model-guided shortlist (rank with the
-   static model, simulate only the top quarter) vs successive halving.
-   All strategies share the guideline default so speedups and picks are
-   comparable; caches are cleared before every timed run.  Gates: the
+   static model, simulate only the top quarter).  Both strategies share
+   the guideline default so speedups and picks are comparable; caches
+   are cleared before every timed run.  Gates: the
    shortlist must return the exhaustive argmin on every kernel, and cut
    total simulated machine time by at least 3x. *)
 let prune () =
@@ -256,7 +256,6 @@ let prune () =
           [
             ("exhaustive", Sw_tuning.Search.exhaustive);
             ("shortlist", Sw_tuning.Search.shortlist ~k ());
-            ("halving", Sw_tuning.Search.successive_halving ~rungs:3);
           ]
         in
         let exhaustive_best = ref None in
@@ -299,12 +298,11 @@ let prune () =
   let total name = Option.value (Hashtbl.find_opt totals name) ~default:(0.0, 0.0) in
   let ex_host, ex_us = total "exhaustive" in
   let sl_host, sl_us = total "shortlist" in
-  let ha_host, ha_us = total "halving" in
   let reduction us = ex_us /. Stdlib.max 1e-9 us in
   Printf.printf
     "total: exhaustive %.3fs host / %.0f us machine; shortlist %.3fs / %.0f us (%.1fx less \
-     machine time); halving %.3fs / %.0f us (%.1fx)\n"
-    ex_host ex_us sl_host sl_us (reduction sl_us) ha_host ha_us (reduction ha_us);
+     machine time)\n"
+    ex_host ex_us sl_host sl_us (reduction sl_us);
   let shortlist_3x = reduction sl_us >= 3.0 in
   if not !shortlist_same then
     Printf.printf "GATE FAILED: shortlist changed the argmin on some kernel\n";
@@ -318,9 +316,6 @@ let prune () =
          ("shortlist_host_s", json_float sl_host);
          ("shortlist_machine_us", json_float sl_us);
          ("shortlist_machine_reduction", json_float (reduction sl_us));
-         ("halving_host_s", json_float ha_host);
-         ("halving_machine_us", json_float ha_us);
-         ("halving_machine_reduction", json_float (reduction ha_us));
          ("shortlist_same_pick", string_of_bool !shortlist_same);
          ( "rows",
            json_list
@@ -1479,7 +1474,8 @@ let shard_bench () =
   done;
   (try Unix.kill (Sw_tuning.Shard.pid victim) Sys.sigkill with Unix.Unix_error _ -> ());
   let killed =
-    match Sw_tuning.Shard.coordinate [ victim ] with Ok _ -> false | Error _ -> true
+    (Sw_tuning.Shard.supervise ~max_restarts:0 [ victim ]).Sw_tuning.Shard.health
+    <> Sw_tuning.Shard.Completed
   in
   let lines_at_kill = count_lines (shard_journal 0) in
   Printf.printf "killed worker 0 (mid-run: %b) with %d journal lines; rerunning ...\n%!" killed

@@ -226,8 +226,8 @@ let strategy_arg =
   let doc =
     "Search strategy: $(b,exhaustive) (assess every point), $(b,shortlist) (rank the space \
      with the $(b,--rank) backend, assess only the top $(b,--shortlist) points), \
-     $(b,adaptive) (shortlist whose K doubles until the incumbent survives a whole rung) or \
-     $(b,halving) (successive halving over event budgets).  Pruned strategies cut tuning cost; \
+     $(b,adaptive) (verify the ranked order in rungs of K until a whole rung fails to improve \
+     the incumbent) or $(b,robust) (see $(b,--robust)).  Pruned strategies cut tuning cost; \
      the shortlist returns the exhaustive argmin whenever the ranker places the true best \
      into the top K."
   in
@@ -243,10 +243,6 @@ let rank_arg =
 let shortlist_arg =
   let doc = "Shortlist size K for --strategy shortlist (0 = a quarter of the space)." in
   Arg.(value & opt int 0 & info [ "shortlist" ] ~docv:"K" ~doc)
-
-let rungs_arg =
-  let doc = "Number of budget rungs for --strategy halving." in
-  Arg.(value & opt int 3 & info [ "rungs" ] ~docv:"N" ~doc)
 
 let checkpoint_arg =
   let doc =
@@ -306,7 +302,7 @@ let db_both_arg =
   Arg.(value & flag & info [ "db-both" ] ~doc)
 
 let tune_cmd =
-  let run name scale backend_name strategy_name rank shortlist_k rungs json domains trace seed
+  let run name scale backend_name strategy_name rank shortlist_k json domains trace seed
       faults fault_level checkpoint robust_seeds workers max_restarts hang_timeout grains
       unrolls db_both =
     Option.iter Sw_util.Prng.set_global_seed seed;
@@ -318,7 +314,6 @@ let tune_cmd =
         t_strategy = strategy_name;
         t_rank = rank;
         t_shortlist = shortlist_k;
-        t_rungs = rungs;
         t_robust = robust_seeds;
         t_seed = seed;
         t_faults = faults;
@@ -326,7 +321,7 @@ let tune_cmd =
         t_checkpoint = checkpoint;
         t_workers = workers;
         t_max_restarts = max_restarts;
-        t_hang_timeout_s = (if hang_timeout > 0.0 then Some hang_timeout else None);
+        t_hang_timeout_s = (if hang_timeout = 0.0 then None else Some hang_timeout);
         t_grains = grains;
         t_unrolls = unrolls;
         t_db_both = db_both;
@@ -374,7 +369,7 @@ let tune_cmd =
     (Cmd.info "tune" ~doc:"Auto-tune a kernel's tile size and unroll factor under a cost backend.")
     Term.(
       const run $ kernel_arg $ scale_arg $ backend_arg $ strategy_arg $ rank_arg $ shortlist_arg
-      $ rungs_arg $ json_arg $ domains_arg $ trace_arg $ seed_arg $ faults_arg $ fault_level_arg
+      $ json_arg $ domains_arg $ trace_arg $ seed_arg $ faults_arg $ fault_level_arg
       $ checkpoint_arg $ robust_arg $ workers_arg $ max_restarts_arg $ hang_timeout_arg
       $ grains_arg $ unrolls_arg $ db_both_arg)
 

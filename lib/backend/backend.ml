@@ -439,33 +439,6 @@ let with_timeout ?sink ~limit_s (inner : t) : t =
   end in
   (module W : S)
 
-let with_retry ?sink ~attempts ?(backoff_s = 0.0) (inner : t) : t =
-  if attempts < 1 then invalid_arg "Backend.with_retry: attempts must be >= 1";
-  if not (backoff_s >= 0.0) then invalid_arg "Backend.with_retry: backoff_s must be >= 0";
-  let module I = (val inner : S) in
-  let module W = struct
-    let name = Printf.sprintf "retry(%s)" I.name
-
-    let description =
-      Printf.sprintf "%s, retried up to %d times on exceptions" I.description attempts
-
-    let assess ?cutoff ?event_budget config kernel variant =
-      let rec go attempt =
-        match I.assess ?cutoff ?event_budget config kernel variant with
-        | r -> r
-        | exception e when attempt < attempts ->
-            (match sink with
-            | Some s -> Sw_obs.Sink.incr s (Printf.sprintf "backend.retry.%s" I.name)
-            | None -> ());
-            ignore e;
-            if backoff_s > 0.0 then
-              Unix.sleepf (backoff_s *. float_of_int (1 lsl (attempt - 1)));
-            go (attempt + 1)
-      in
-      go 1
-  end in
-  (module W : S)
-
 let fallback ?sink (chain : t list) : t =
   if chain = [] then invalid_arg "Backend.fallback: empty chain";
   let names = List.map name chain in
@@ -565,198 +538,9 @@ let parse_journal_line line =
         | _ -> None)
   with Scanf.Scan_failure _ | End_of_file | Failure _ -> None
 
-let journal ?sink ~path config (inner : t) : journal =
-  let module I = (val inner : S) in
-  let digest = config_digest config in
-  let table : (journal_key, journal_entry) Hashtbl.t = Hashtbl.create 64 in
-  (* Replay: accept the file only if its header names this exact
-     configuration; a truncated tail line (the crash case) parses as
-     nothing and is ignored. *)
-  (* Three-way open: no prior file (fresh), a replayable file, or a
-     file that exists but cannot be trusted — empty, garbage bytes, a
-     foreign digest.  The last falls back to a fresh journal (the run
-     recomputes; correctness never depends on the replay) but is worth
-     a warning counter: an operator seeing ["journal.unreadable"] climb
-     knows checkpoints are being discarded, not used. *)
-  let header_state =
-    match open_in path with
-    | exception Sys_error _ -> `Fresh
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            match input_line ic with
-            (* a zero-length file has nothing to lose: it is what
-               [Filename.temp_file] pre-creates, so open it fresh
-               silently rather than warning about every ephemeral
-               shard journal *)
-            | exception End_of_file -> `Fresh
-            | header -> (
-                match
-                  Scanf.sscanf header "{\"journal\": %S, \"version\": %d, \"config\": %S}"
-                    (fun _ v d -> (v, d))
-                with
-                | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
-                    `Rejected "malformed header"
-                | 1, d when d = digest ->
-                    (try
-                       while true do
-                         match parse_journal_line (input_line ic) with
-                         | Some (key, entry) -> Hashtbl.replace table key entry
-                         | None -> ()
-                       done
-                     with End_of_file -> ());
-                    `Replayed
-                | v, d ->
-                    `Rejected
-                      (if v <> 1 then Printf.sprintf "version %d" v
-                       else Printf.sprintf "config digest %s" d)))
-  in
-  (match header_state with
-  | `Rejected reason ->
-      (match sink with
-      | Some s -> Sw_obs.Sink.incr s "journal.unreadable"
-      | None -> ());
-      Printf.eprintf "swpm: journal %s unreadable (%s): starting fresh\n%!" path reason
-  | `Fresh | `Replayed -> ());
-  let header_ok = header_state = `Replayed in
-  let oc =
-    if header_ok then begin
-      (* Crash recovery: a kill mid-write can leave a partial final
-         line with no newline.  Appending after it would glue the first
-         new entry onto the stale tail, silently losing both on the
-         next replay — so cut the file back to its last complete line
-         before appending. *)
-      (let ic = open_in_bin path in
-       let len = in_channel_length ic in
-       let contents = really_input_string ic len in
-       close_in ic;
-       if len > 0 && contents.[len - 1] <> '\n' then
-         let keep =
-           match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
-         in
-         Unix.truncate path keep);
-      open_out_gen [ Open_append; Open_creat ] 0o644 path
-    end
-    else begin
-      let oc = open_out path in
-      Printf.fprintf oc journal_header_fmt digest;
-      output_char oc '\n';
-      flush oc;
-      oc
-    end
-  in
-  let lock = Mutex.create () in
-  let hits = Atomic.make 0 in
-  let misses = Atomic.make 0 in
-  let observe key =
-    match sink with Some s -> Sw_obs.Sink.incr s key | None -> ()
-  in
-  let write_line key entry =
-    let v = key.jk_variant in
-    let status, cycles, machine_us, events, jbackend, reason =
-      match entry with
-      | Journal_ok { cycles; machine_us; machine_events } ->
-          ("ok", cycles, machine_us, machine_events, "", "")
-      | Journal_infeasible { jbackend; jreason } ->
-          ("infeasible", 0.0, 0.0, 0, jbackend, jreason)
-    in
-    Printf.fprintf oc journal_line_fmt key.jk_kernel key.jk_elems key.jk_vw
-      v.Kernel.grain v.Kernel.unroll v.Kernel.active_cpes v.Kernel.double_buffer status
-      cycles machine_us events jbackend reason;
-    output_char oc '\n';
-    (* flush per line: a kill between lines loses at most the point in
-       flight, never a committed one *)
-    flush oc
-  in
-  let module J = struct
-    let name = Printf.sprintf "journal(%s)" I.name
-
-    let description = Printf.sprintf "%s, journaled to %s" I.description path
-
-    let assess ?cutoff ?event_budget run_config kernel (variant : Kernel.variant) =
-      if run_config <> config then
-        (* a different configuration than the journal is bound to:
-           pass straight through rather than replay a wrong answer *)
-        I.assess ?cutoff ?event_budget run_config kernel variant
-      else begin
-        let key =
-          {
-            jk_kernel = kernel.Kernel.name;
-            jk_elems = kernel.Kernel.n_elements;
-            jk_vw = kernel.Kernel.vector_width;
-            jk_variant = variant;
-          }
-        in
-        let cached =
-          Mutex.lock lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock lock)
-            (fun () -> Hashtbl.find_opt table key)
-        in
-        match cached with
-        | Some entry -> (
-            Atomic.incr hits;
-            observe "journal.hits";
-            match entry with
-            | Journal_ok { cycles; _ } ->
-                (* the cost was paid by the run that journaled it *)
-                Assessed { cycles; cost = zero_cost; breakdown = None }
-            | Journal_infeasible { jbackend; jreason } ->
-                Infeasible { backend = jbackend; reason = jreason })
-        | None -> (
-            Atomic.incr misses;
-            observe "journal.misses";
-            let r = I.assess ?cutoff ?event_budget run_config kernel variant in
-            match r with
-            | Cut_off _ ->
-                (* budget-dependent, not a property of the point: a
-                   resumed run must re-assess it *)
-                r
-            | Assessed v ->
-                let entry =
-                  Journal_ok
-                    {
-                      cycles = v.cycles;
-                      machine_us = v.cost.machine_us;
-                      machine_events = v.cost.machine_events;
-                    }
-                in
-                Mutex.lock lock;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock lock)
-                  (fun () ->
-                    Hashtbl.replace table key entry;
-                    write_line key entry);
-                r
-            | Infeasible e ->
-                let entry = Journal_infeasible { jbackend = e.backend; jreason = e.reason } in
-                Mutex.lock lock;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock lock)
-                  (fun () ->
-                    Hashtbl.replace table key entry;
-                    write_line key entry);
-                r)
-      end
-  end in
-  {
-    j_backend = (module J : S);
-    j_hits = hits;
-    j_misses = misses;
-    j_close = (fun () -> close_out_noerr oc);
-  }
-
-let journaled j = j.j_backend
-
-let journal_hits j = Atomic.get j.j_hits
-
-let journal_misses j = Atomic.get j.j_misses
-
-let journal_close j = j.j_close ()
-
-(* Offline journal access: the shard coordinator merges per-worker
-   journals without ever opening them for appending. *)
+(* Reading and writing journal files, shared by the appending wrapper
+   below and the shard coordinator, which merges per-worker journals
+   without ever opening them for appending. *)
 
 exception Journal_mismatch of { path : string; expected : string; found : string }
 
@@ -828,6 +612,150 @@ let journal_read ~config path =
               | v, d ->
                   let found = if v <> 1 then Printf.sprintf "<version %d>" v else d in
                   Error (Journal_mismatched { path; expected = digest; found })))
+
+let journal ?sink ~path config (inner : t) : journal =
+  let module I = (val inner : S) in
+  let table : (journal_key, journal_entry) Hashtbl.t = Hashtbl.create 64 in
+  (* Three-way open: nothing to replay (no file, or a zero-length one
+     — what [Filename.temp_file] pre-creates for every ephemeral shard
+     journal), a replayable file, or a file that exists but cannot be
+     trusted — garbage bytes, a foreign digest.  The last falls back to
+     a fresh journal (the run recomputes; correctness never depends on
+     the replay) but is worth a warning counter: an operator seeing
+     ["journal.unreadable"] climb knows checkpoints are being
+     discarded, not used. *)
+  let replayed =
+    match (Unix.stat path).Unix.st_size with
+    | exception Unix.Unix_error _ -> false
+    | 0 -> false
+    | _ -> (
+        match journal_read ~config path with
+        | Ok entries ->
+            (* the last entry for a key wins, as it did when written *)
+            List.iter (fun (key, entry) -> Hashtbl.replace table key entry) entries;
+            true
+        | Error issue ->
+            (match sink with Some s -> Sw_obs.Sink.incr s "journal.unreadable" | None -> ());
+            Printf.eprintf "swpm: %s: starting fresh\n%!" (journal_issue_string issue);
+            false)
+  in
+  let oc =
+    if replayed then begin
+      (* Crash recovery: a kill mid-write can leave a partial final
+         line with no newline.  Appending after it would glue the first
+         new entry onto the stale tail, silently losing both on the
+         next replay — so cut the file back to its last complete line
+         before appending. *)
+      (let ic = open_in_bin path in
+       let len = in_channel_length ic in
+       let contents = really_input_string ic len in
+       close_in ic;
+       if len > 0 && contents.[len - 1] <> '\n' then
+         let keep =
+           match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
+         in
+         Unix.truncate path keep);
+      open_out_gen [ Open_append; Open_creat ] 0o644 path
+    end
+    else begin
+      let oc = open_out path in
+      output_string oc (journal_header_line config);
+      output_char oc '\n';
+      flush oc;
+      oc
+    end
+  in
+  let lock = Mutex.create () in
+  let hits = Atomic.make 0 in
+  let misses = Atomic.make 0 in
+  let observe key =
+    match sink with Some s -> Sw_obs.Sink.incr s key | None -> ()
+  in
+  let write_line key entry =
+    output_string oc (journal_entry_line key entry);
+    output_char oc '\n';
+    (* flush per line: a kill between lines loses at most the point in
+       flight, never a committed one *)
+    flush oc
+  in
+  let module J = struct
+    let name = Printf.sprintf "journal(%s)" I.name
+
+    let description = Printf.sprintf "%s, journaled to %s" I.description path
+
+    let assess ?cutoff ?event_budget run_config kernel (variant : Kernel.variant) =
+      if run_config <> config then
+        (* a different configuration than the journal is bound to:
+           pass straight through rather than replay a wrong answer *)
+        I.assess ?cutoff ?event_budget run_config kernel variant
+      else begin
+        let key = journal_key_of kernel variant in
+        let cached =
+          Mutex.lock lock;
+          Fun.protect
+            ~finally:(fun () -> Mutex.unlock lock)
+            (fun () -> Hashtbl.find_opt table key)
+        in
+        match cached with
+        | Some entry -> (
+            Atomic.incr hits;
+            observe "journal.hits";
+            match entry with
+            | Journal_ok { cycles; _ } ->
+                (* the cost was paid by the run that journaled it *)
+                Assessed { cycles; cost = zero_cost; breakdown = None }
+            | Journal_infeasible { jbackend; jreason } ->
+                Infeasible { backend = jbackend; reason = jreason })
+        | None -> (
+            Atomic.incr misses;
+            observe "journal.misses";
+            let r = I.assess ?cutoff ?event_budget run_config kernel variant in
+            match r with
+            | Cut_off _ ->
+                (* budget-dependent, not a property of the point: a
+                   resumed run must re-assess it *)
+                r
+            | Assessed v ->
+                let entry =
+                  Journal_ok
+                    {
+                      cycles = v.cycles;
+                      machine_us = v.cost.machine_us;
+                      machine_events = v.cost.machine_events;
+                    }
+                in
+                Mutex.lock lock;
+                Fun.protect
+                  ~finally:(fun () -> Mutex.unlock lock)
+                  (fun () ->
+                    Hashtbl.replace table key entry;
+                    write_line key entry);
+                r
+            | Infeasible e ->
+                let entry = Journal_infeasible { jbackend = e.backend; jreason = e.reason } in
+                Mutex.lock lock;
+                Fun.protect
+                  ~finally:(fun () -> Mutex.unlock lock)
+                  (fun () ->
+                    Hashtbl.replace table key entry;
+                    write_line key entry);
+                r)
+      end
+  end in
+  {
+    j_backend = (module J : S);
+    j_hits = hits;
+    j_misses = misses;
+    j_close = (fun () -> close_out_noerr oc);
+  }
+
+let journaled j = j.j_backend
+
+let journal_hits j = Atomic.get j.j_hits
+
+let journal_misses j = Atomic.get j.j_misses
+
+let journal_close j = j.j_close ()
 
 let journal_merge ?on_issue ~config paths =
   let merged : (journal_key, journal_entry) Hashtbl.t = Hashtbl.create 256 in

@@ -32,8 +32,7 @@ type cost = {
           backends; the profiling bill for simulator-in-the-loop ones). *)
   machine_events : int;
       (** Simulator events processed to produce this answer (0 for
-          static backends).  Successive halving uses the incumbent's
-          event count as the yardstick for its rung budgets. *)
+          static backends). *)
 }
 
 val zero_cost : cost
@@ -257,9 +256,9 @@ val memo_clear : memo -> unit
     ({!Sw_sim.Engine.Event_limit}), a fault-perturbed configuration
     deadlocks, an assessment takes longer than the tuning loop can
     afford.  These combinators turn such failures into {e policy} —
-    retry it, disqualify it, degrade to a cheaper estimator — with
-    every decision visible as a sink counter, so a robust tuning run
-    never dies mid-sweep and never hides what it did. *)
+    disqualify it, degrade to a cheaper estimator — with every decision
+    visible as a sink counter, so a robust tuning run never dies
+    mid-sweep and never hides what it did. *)
 
 exception Timeout of { backend : string; limit_s : float; elapsed_s : float }
 (** Raised by a {!with_timeout} wrapper whose inner assessment took
@@ -273,16 +272,6 @@ val with_timeout : ?sink:Sw_obs.Sink.t -> limit_s:float -> t -> t
     too late; the point is to feed {!fallback} a typed failure, not to
     bound latency hard.  With [sink], bumps
     ["backend.timeout.<name>"]. *)
-
-val with_retry : ?sink:Sw_obs.Sink.t -> attempts:int -> ?backoff_s:float -> t -> t
-(** [with_retry ~attempts b] re-runs an assessment that {e raised}
-    (any exception) up to [attempts] total tries, sleeping
-    [backoff_s * 2^(k-1)] host seconds before the [k]-th retry
-    (default [0.]: no sleep).  The last exception propagates when the
-    budget is exhausted.  Deterministic backends fail deterministically
-    — retry exists for wrappers whose failures are transient (e.g. a
-    flaky measurement harness); with [sink], each retry bumps
-    ["backend.retry.<name>"]. *)
 
 val fallback : ?sink:Sw_obs.Sink.t -> t list -> t
 (** [fallback [sim; hybrid; model]] assesses with the first backend in
@@ -319,7 +308,14 @@ val journal : ?sink:Sw_obs.Sink.t -> path:string -> Sw_sim.Config.t -> t -> jour
     re-assessed; new resolutions are appended and flushed one line at a
     time.  Assessments under a {e different} configuration pass through
     unjournaled.  With [sink], hits/misses bump ["journal.hits"] /
-    ["journal.misses"], mirroring {!journal_hits} / {!journal_misses}. *)
+    ["journal.misses"], mirroring {!journal_hits} / {!journal_misses}.
+
+    Opening reads the file with {!journal_read}.  A missing or
+    zero-length file opens fresh, silently.  A file {!journal_read}
+    refuses (garbage, a foreign digest) also opens fresh, but bumps
+    ["journal.unreadable"] and warns on stderr.  Before appending to a
+    replayed file, a torn final line is cut back to the last complete
+    one, so the next replay recovers every complete entry. *)
 
 val journaled : journal -> t
 (** The wrapping backend (named ["journal(<inner>)"]). *)

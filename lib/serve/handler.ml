@@ -81,7 +81,6 @@ type tune_req = {
   t_strategy : string;
   t_rank : string option;
   t_shortlist : int;
-  t_rungs : int;
   t_robust : int;
   t_seed : int option;
   t_faults : int option;
@@ -140,7 +139,6 @@ let tune_defaults ~kernel =
     t_strategy = "exhaustive";
     t_rank = None;
     t_shortlist = 0;
-    t_rungs = 3;
     t_robust = 0;
     t_seed = None;
     t_faults = None;
@@ -225,7 +223,6 @@ let parse_tune j =
   let* t_strategy = dflt "exhaustive" (opt_str "strategy" j) in
   let* t_rank = opt_str "rank" j in
   let* t_shortlist = dflt 0 (opt_int "shortlist" j) in
-  let* t_rungs = dflt 3 (opt_int "rungs" j) in
   let* t_robust = dflt 0 (opt_int "robust" j) in
   let* t_seed = opt_int "seed" j in
   let* t_faults = opt_int "faults" j in
@@ -245,7 +242,6 @@ let parse_tune j =
       t_strategy;
       t_rank;
       t_shortlist;
-      t_rungs;
       t_robust;
       t_seed;
       t_faults;
@@ -279,9 +275,9 @@ let predict_fields =
     "faults"; "fault_level" ]
 
 let tune_fields =
-  [ "kernel"; "scale"; "backend"; "strategy"; "rank"; "shortlist"; "rungs"; "robust"; "seed";
-    "faults"; "fault_level"; "checkpoint"; "workers"; "max_restarts"; "hang_timeout_s";
-    "grains"; "unrolls"; "db_both" ]
+  [ "kernel"; "scale"; "backend"; "strategy"; "rank"; "shortlist"; "robust"; "seed"; "faults";
+    "fault_level"; "checkpoint"; "workers"; "max_restarts"; "hang_timeout_s"; "grains";
+    "unrolls"; "db_both" ]
 
 let timeline_fields =
   [ "kernel"; "scale"; "grain"; "unroll"; "cpes"; "double_buffer"; "seed"; "faults";
@@ -385,7 +381,6 @@ let verb_to_json = function
            ("strategy", jstr t.t_strategy);
            ("rank", jopt jstr t.t_rank);
            ("shortlist", jint t.t_shortlist);
-           ("rungs", jint t.t_rungs);
            ("robust", jint t.t_robust);
            ("seed", jopt jint t.t_seed);
            ("faults", jopt jint t.t_faults);
@@ -519,9 +514,11 @@ let variant_of (entry : Sw_workloads.Registry.entry) grain unroll cpes db =
 (* --- request bounds ----------------------------------------------- *)
 
 (* Well-typed fields can still ask for nonsense: a negative scale
-   builds a different problem, and a negative shortlist size would fall
-   back to the default.  Every verb that does work checks its bounds
-   first, so the CLI and the daemon refuse the same requests. *)
+   builds a different problem, a negative shortlist size would fall
+   back to the default, a worker count below 1 would run in-process
+   and a non-positive hang timeout would kill every worker as hung at
+   once.  Every verb that does work checks its bounds first, so the CLI
+   and the daemon refuse the same requests. *)
 
 type bound_error = { field : string; value : string; expected : string }
 
@@ -531,20 +528,33 @@ let positive_scale scale =
   if Float.is_finite scale && scale > 0.0 then Ok ()
   else Error { field = "scale"; value = Printf.sprintf "%g" scale; expected = "a finite number > 0" }
 
+let at_least field ?(expected = "") lo v =
+  if v >= lo then Ok ()
+  else
+    Error
+      {
+        field;
+        value = string_of_int v;
+        expected = Printf.sprintf "an integer >= %d%s" lo expected;
+      }
+
 let check_bounds = function
   | Predict p -> positive_scale p.p_scale
-  | Tune t ->
+  | Tune t -> (
       let* () = positive_scale t.t_scale in
-      if t.t_shortlist < 0 then
-        Error
-          {
-            field = "shortlist";
-            value = string_of_int t.t_shortlist;
-            expected = "an integer >= 0 (0 = a quarter of the space)";
-          }
-      else if t.t_rungs < 1 then
-        Error { field = "rungs"; value = string_of_int t.t_rungs; expected = "an integer >= 1" }
-      else Ok ()
+      let* () = at_least "shortlist" ~expected:" (0 = a quarter of the space)" 0 t.t_shortlist in
+      let* () = at_least "robust" ~expected:" (0 = not robust)" 0 t.t_robust in
+      let* () = at_least "workers" 1 t.t_workers in
+      let* () = at_least "max_restarts" 0 t.t_max_restarts in
+      match t.t_hang_timeout_s with
+      | Some s when not (Float.is_finite s && s > 0.0) ->
+          Error
+            {
+              field = "hang_timeout_s";
+              value = Printf.sprintf "%g" s;
+              expected = "a finite number > 0";
+            }
+      | _ -> Ok ())
   | Timeline l -> positive_scale l.l_scale
   | Ping | Metrics | Shutdown -> Ok ()
 
@@ -640,11 +650,10 @@ let strategy_of t ?rank ~n_points () =
     | "shortlist" -> Ok (Sw_tuning.Search.shortlist ?rank ~k:(shortlist_k ()) ())
     | "adaptive" | "adaptive-shortlist" ->
         Ok (Sw_tuning.Search.adaptive_shortlist ?rank ~k:(shortlist_k ()) ())
-    | "halving" | "successive-halving" -> Ok (Sw_tuning.Search.successive_halving ~rungs:t.t_rungs)
     | s ->
         Error
-          (Printf.sprintf
-             "unknown strategy %S (available: exhaustive, shortlist, adaptive, halving, robust)" s)
+          (Printf.sprintf "unknown strategy %S (available: exhaustive, shortlist, adaptive, robust)"
+             s)
 
 (* The one place the search space is defined: the registry entry's
    axes, each optionally overridden by a request axis spec
@@ -897,26 +906,17 @@ let worker_main spec =
     in
     let link = Sw_tuning.Shard.worker_link ?drop_every ?dup_every () in
     let cpu0 = Sys.time () in
-    let results, sstats =
+    let _, sstats =
       Sw_tuning.Search.run strategy
         ~backend:(chaos_backend ~actions ~jnl (Backend.journaled jnl))
         ~active_cpes:64 ~link config kernel ~points:mine
-    in
-    let machine_us =
-      List.fold_left
-        (fun acc (_, r) ->
-          match r with
-          | Sw_tuning.Search.Priced v -> acc +. v.Backend.cost.Backend.machine_us
-          | Sw_tuning.Search.Pruned c -> acc +. c.Backend.machine_us
-          | Sw_tuning.Search.Rejected _ -> acc)
-        sstats.Sw_tuning.Search.rank_machine_us results
     in
     let stats =
       Json.Obj
         [
           ("shard", Json.Int shard);
           ("cpu_s", Json.Float (Sys.time () -. cpu0));
-          ("machine_us", Json.Float machine_us);
+          ("machine_us", Json.Float sstats.Sw_tuning.Search.machine_us);
           ("rank_host_s", Json.Float sstats.Sw_tuning.Search.rank_host_s);
           ("rank_machine_us", Json.Float sstats.Sw_tuning.Search.rank_machine_us);
           ("journal_hits", Json.Float (float_of_int (Backend.journal_hits jnl)));

@@ -73,7 +73,6 @@ type tune_req = {
           (any registered backend name, e.g. ["surrogate"]); [None] =
           the static model. *)
   t_shortlist : int;  (** 0 = a quarter of the space. *)
-  t_rungs : int;
   t_robust : int;  (** Robust-tuning seeds; 0 = off. *)
   t_seed : int option;
   t_faults : int option;
@@ -211,10 +210,12 @@ type bound_error = {
 
 val check_bounds : verb -> (unit, bound_error) result
 (** Reject well-typed but meaningless fields: a non-finite or
-    non-positive [scale] (predict, tune, timeline), a negative
-    [shortlist] and [rungs] below 1 (tune).  {!predict}, {!tune} and
-    {!timeline} check first, so the CLI and the daemon refuse the same
-    requests, with {!bound_error_message} as the error. *)
+    non-positive [scale] (predict, tune, timeline); a negative
+    [shortlist], [robust] or [max_restarts], [workers] below 1, and a
+    non-finite or non-positive [hang_timeout_s] (tune).  {!predict},
+    {!tune} and {!timeline} check first, so the CLI and the daemon
+    refuse the same requests, with {!bound_error_message} as the
+    error. *)
 
 val bound_error_message : bound_error -> string
 (** [field "scale": expected a finite number > 0, got -1]. *)

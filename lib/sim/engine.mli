@@ -74,8 +74,9 @@ val run_budget :
     event clock strictly exceeds it — a run whose makespan exactly
     equals [cutoff] still finishes, so an incumbent-based pruned search
     preserves exhaustive search's earliest-index tie-break.
-    [event_budget] bounds the number of events processed (a cheap
-    "racing" budget for successive halving); unlike [config.max_events]
+    [event_budget] bounds the number of events processed (no search
+    strategy sets it; it stays for external budgeted callers); unlike
+    [config.max_events]
     — which still raises {!Event_limit} as a runaway guard — exhausting
     it returns [Cutoff], not an exception.  Without either option the
     result is always [Finished]. *)

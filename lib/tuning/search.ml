@@ -4,7 +4,6 @@ type t =
   | Exhaustive
   | Shortlist of { rank : Backend.t; k : int }
   | Adaptive_shortlist of { rank : Backend.t; k : int }
-  | Successive_halving of { rungs : int }
   | Robust of {
       rank : Backend.t;
       k : int;
@@ -21,10 +20,6 @@ let adaptive_shortlist ?(rank = Backend.static_model) ~k () =
   if k < 1 then invalid_arg "Search.adaptive_shortlist: k must be >= 1";
   Adaptive_shortlist { rank; k }
 
-let successive_halving ~rungs =
-  if rungs < 1 then invalid_arg "Search.successive_halving: rungs must be >= 1";
-  Successive_halving { rungs }
-
 let robust ?(rank = Backend.static_model) ~k ~seeds ?(quantile = 1.0)
     ?(spec = Sw_fault.Fault.default) () =
   if seeds = [] then invalid_arg "Search.robust: seeds must be non-empty";
@@ -37,7 +32,6 @@ let name = function
   | Shortlist { rank; k } -> Printf.sprintf "shortlist(%s,k=%d)" (Backend.name rank) k
   | Adaptive_shortlist { rank; k } ->
       Printf.sprintf "adaptive(%s,k=%d)" (Backend.name rank) k
-  | Successive_halving { rungs } -> Printf.sprintf "successive-halving(rungs=%d)" rungs
   | Robust { rank; k; seeds; quantile; _ } ->
       Printf.sprintf "robust(%s,k=%d,seeds=%d,q=%.2f)" (Backend.name rank) k
         (List.length seeds) quantile
@@ -71,15 +65,13 @@ let link_publish link cycles = match link with None -> () | Some l -> l.publish 
 
 type stats = {
   strategy : string;
-  pruned : int;
   rank_host_s : float;
   rank_machine_us : float;
+  machine_us : float;
 }
 
 let map_points ?pool f points =
   match pool with Some p -> Sw_util.Pool.map p f points | None -> List.map f points
-
-let observe_pruned obs n = match obs with Some sink when n > 0 -> Sw_obs.Sink.incr sink ~by:n "search.pruned" | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive: assess every point, in enumeration order — byte-for-byte
@@ -101,27 +93,34 @@ let run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points =
     points
 
 (* ------------------------------------------------------------------ *)
-(* Shortlist: rank the whole space with a cheap backend (pooled), then
-   pay the expensive backend only for the k most promising points —
-   visited best-ranked first, so the running incumbent's cycles become
-   the cutoff that lets later verifications abandon early.
+(* Ranked verification: rank the whole space with a cheap backend
+   (pooled), then pay the expensive backend only for the most promising
+   points — visited best-ranked first, in rungs of k, so the running
+   incumbent's cycles become the cutoff that lets later verifications
+   abandon early.
+
+   - A shortlist is one rung.
+   - The adaptive shortlist keeps adding rungs until one passes without
+     strictly improving the incumbent (seeding the first incumbent does
+     not count), so K is not a guess: a perfectly ranked space verifies
+     exactly k points, a misranked one keeps paying until the ranking
+     proves itself.
+   - The robust strategy turns the cutoff off: a point that is mediocre
+     on the quiet machine can still be the min-of-worst-case winner, so
+     every shortlisted survivor must be fully priced.
 
    Determinism: ranking is order-preserving under the pool, the sort is
-   total (predicted cycles, then enumeration index), and verification
-   is sequential, so the outcome is identical at any pool size. *)
+   total (predicted cycles, then enumeration index), verification is
+   sequential and the rung schedule depends only on verdicts, so the
+   outcome is identical at any pool size. *)
 
-(* [cutoff_prune] (default true) lets the running incumbent's cycles
-   abandon verifications that provably can't win the *nominal* argmin.
-   The robust strategy turns it off: a point that is mediocre on the
-   quiet machine can still be the min-of-worst-case winner, so every
-   shortlisted survivor must be fully priced. *)
-(* The ranking pass shared by every shortlist flavour: assess the whole
-   space with the (cheap) rank backend under the pool, and return the
-   indexed results plus the verification order — a total sort by
-   (predicted cycles, enumeration index) over the rank-feasible points.
-   [rank_machine_us] bills whatever the ranker simulated (0 for the
-   static model; the training bill for the learned surrogate; per-point
-   runs if the simulator itself ranks). *)
+(* The ranking pass: assess the whole space with the (cheap) rank
+   backend under the pool, and return the indexed results plus the
+   verification order — a total sort by (predicted cycles, enumeration
+   index) over the rank-feasible points.  [rank_machine_us] bills
+   whatever the ranker simulated (0 for the static model; the training
+   bill for the learned surrogate; per-point runs if the simulator
+   itself ranks). *)
 let rank_space ~rank ~active_cpes ?pool ?link config kernel points =
   let wall0 = Unix.gettimeofday () in
   (* tick the link every 32 rankings (ranking backends are cheap and
@@ -160,70 +159,8 @@ let rank_space ~rank ~active_cpes ?pool ?link config kernel points =
   in
   (indexed, order, rank_host_s, rank_machine_us)
 
-(* Results in enumeration order: verified points from the table, points
-   the ranker rejected as Rejected, everything else pruned for free. *)
-let finish_shortlist ~strategy ~obs ~verdicts ~indexed ~rank_host_s ~rank_machine_us =
-  let pruned = ref 0 in
-  let results =
-    List.map
-      (fun (i, p, r) ->
-        match Hashtbl.find_opt verdicts i with
-        | Some res ->
-            (match res with Pruned _ -> incr pruned | Priced _ | Rejected _ -> ());
-            (p, res)
-        | None -> (
-            match r with
-            | Error e -> (p, Rejected e)  (* the ranker's compile check rejected it *)
-            | Ok _ ->
-                incr pruned;
-                (p, Pruned Backend.zero_cost)))
-      indexed
-  in
-  observe_pruned obs !pruned;
-  (results, { strategy; pruned = !pruned; rank_host_s; rank_machine_us })
-
-let run_shortlist ?(cutoff_prune = true) ?link ~rank ~k ~backend ~active_cpes ?pool ?obs
-    config kernel points =
-  let indexed, order, rank_host_s, rank_machine_us =
-    rank_space ~rank ~active_cpes ?pool ?link config kernel points
-  in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
-  let keep = take (Stdlib.max 1 k) order in
-  let verdicts : (int, result_) Hashtbl.t = Hashtbl.create 16 in
-  let incumbent = ref None in
-  List.iter
-    (fun (i, p, _) ->
-      let variant = Space.to_variant p ~active_cpes in
-      let cutoff = if cutoff_prune then link_cutoff link !incumbent else None in
-      match Backend.assess_budget ?cutoff backend config kernel variant with
-      | Backend.Assessed v ->
-          (match !incumbent with
-          | Some c when v.Backend.cycles >= c -> ()
-          | _ ->
-              incumbent := Some v.Backend.cycles;
-              link_publish link v.Backend.cycles);
-          Hashtbl.replace verdicts i (Priced v)
-      | Backend.Infeasible e -> Hashtbl.replace verdicts i (Rejected e)
-      | Backend.Cut_off { cost; _ } -> Hashtbl.replace verdicts i (Pruned cost))
-    keep;
-  finish_shortlist
-    ~strategy:(name (Shortlist { rank; k }))
-    ~obs ~verdicts ~indexed ~rank_host_s ~rank_machine_us
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive shortlist: same ranking pass, but K is not a guess — the
-   ranked order is verified in rungs of k points and the search stops
-   as soon as the incumbent survives one whole rung without being
-   improved.  A perfectly-ranked space verifies exactly k points (the
-   seeding of the first incumbent does not count as an improvement); a
-   misranked one keeps paying, one rung at a time, until the ranking
-   proves itself — so the argmin is recovered whenever the true best is
-   ranked anywhere the growing prefix reaches, without hand-tuning K
-   per kernel.  Verification is sequential and the rung schedule
-   depends only on verdicts, so the outcome is pool-size
-   independent. *)
-
-let run_adaptive ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel points =
+let run_ranked ~adaptive ~cutoff_prune ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config
+    kernel points =
   let indexed, order, rank_host_s, rank_machine_us =
     rank_space ~rank ~active_cpes ?pool ?link config kernel points
   in
@@ -232,19 +169,13 @@ let run_adaptive ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel p
   let improved = ref false in
   let verify (i, p, _) =
     let variant = Space.to_variant p ~active_cpes in
-    match
-      Backend.assess_budget ?cutoff:(link_cutoff link !incumbent) backend config kernel variant
-    with
+    let cutoff = if cutoff_prune then link_cutoff link !incumbent else None in
+    match Backend.assess_budget ?cutoff backend config kernel variant with
     | Backend.Assessed v ->
         (match !incumbent with
         | Some c when v.Backend.cycles >= c -> ()
-        | Some _ ->
-            incumbent := Some v.Backend.cycles;
-            improved := true;
-            link_publish link v.Backend.cycles
-        | None ->
-            (* seeding the incumbent is not an improvement: a perfectly
-               ranked space must stop after its first rung *)
+        | seeded ->
+            if seeded <> None then improved := true;
             incumbent := Some v.Backend.cycles;
             link_publish link v.Backend.cycles);
         Hashtbl.replace verdicts i (Priced v)
@@ -257,136 +188,34 @@ let run_adaptive ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel p
         (x :: rung, rest)
     | rest -> ([], rest)
   in
-  let rung_size = Stdlib.max 1 k in
-  let remaining = ref order in
-  let stop = ref false in
-  while (not !stop) && !remaining <> [] do
-    (match obs with Some sink -> Sw_obs.Sink.incr sink "search.rungs" | None -> ());
-    improved := false;
-    let rung, rest = split rung_size !remaining in
-    List.iter verify rung;
-    remaining := rest;
-    (* keep going while the incumbent is unset — a rung of rank-feasible
-       points the verifier rejected must not end the search *)
-    if (not !improved) && !incumbent <> None then stop := true
-  done;
-  finish_shortlist
-    ~strategy:(name (Adaptive_shortlist { rank; k }))
-    ~obs ~verdicts ~indexed ~rank_host_s ~rank_machine_us
-
-(* ------------------------------------------------------------------ *)
-(* Successive halving: race all points through rungs of growing event
-   budgets, halving the field between rungs by partial progress (the
-   event clock reached when the budget ran out — further along means a
-   slower candidate, since DMA-bound makespans grow with event count).
-
-   The first feasible point is assessed in full up front; its cycles
-   seed the incumbent cutoff and its event count is the yardstick the
-   rung budgets scale from.  The final rung runs unmetered (cutoff
-   only), so every survivor is either fully priced or provably beaten.
-
-   Determinism: the cutoff and budget are fixed before each pooled
-   rung, scores sort by (clock, enumeration index), and the incumbent
-   updates from completed verdicts in enumeration order. *)
-
-let run_halving ?link ~rungs ~backend ~active_cpes ?pool ?obs config kernel points =
-  let n = List.length points in
-  let results : result_ option array = Array.make (Stdlib.max 1 n) None in
-  let sunk : Backend.cost array = Array.make (Stdlib.max 1 n) Backend.zero_cost in
-  let variant p = Space.to_variant p ~active_cpes in
-  let indexed = List.mapi (fun i p -> (i, p)) points in
-  let incumbent = ref None in
-  let yardstick = ref 0 in
-  (* seed: full-assess points in order until one is feasible *)
-  let rec seed = function
-    | [] -> []
-    | (i, p) :: rest -> (
-        match Backend.assess backend config kernel (variant p) with
-        | Ok v ->
-            results.(i) <- Some (Priced v);
-            incumbent := Some v.Backend.cycles;
-            link_publish link v.Backend.cycles;
-            yardstick := Stdlib.max 1 v.Backend.cost.Backend.machine_events;
-            rest
-        | Error e ->
-            results.(i) <- Some (Rejected e);
-            seed rest)
-  in
-  let racing = ref (seed indexed) in
-  for r = 1 to rungs - 1 do
-    if !racing <> [] then begin
-      (match obs with Some sink -> Sw_obs.Sink.incr sink "search.rungs" | None -> ());
-      let last = r = rungs - 1 in
-      let budget =
-        if last then None else Some (Stdlib.max 256 (!yardstick / (1 lsl (rungs - 1 - r))))
-      in
-      let cutoff = link_cutoff link !incumbent in
-      let assessed =
-        map_points ?pool
-          (fun (i, p) ->
-            (i, p, Backend.assess_budget ?cutoff ?event_budget:budget backend config kernel (variant p)))
-          !racing
-      in
-      let survivors = ref [] in
-      List.iter
-        (fun (i, _, a) ->
-          match a with
-          | Backend.Assessed v ->
-              sunk.(i) <- Backend.add_cost sunk.(i) v.Backend.cost;
-              results.(i) <- Some (Priced { v with Backend.cost = sunk.(i) });
-              (match !incumbent with
-              | Some c when v.Backend.cycles >= c -> ()
-              | _ ->
-                  incumbent := Some v.Backend.cycles;
-                  link_publish link v.Backend.cycles)
-          | Backend.Infeasible e -> results.(i) <- Some (Rejected e)
-          | Backend.Cut_off { at; cost } ->
-              sunk.(i) <- Backend.add_cost sunk.(i) cost;
-              (* a cut past the cycle cutoff is a proof of defeat, not a
-                 budget exhaustion: prune now instead of re-racing *)
-              let beaten = match cutoff with Some c -> at > c | None -> false in
-              if last || beaten then results.(i) <- Some (Pruned sunk.(i))
-              else survivors := (i, at) :: !survivors)
-        assessed;
-      if not last then begin
-        let scored =
-          List.sort (fun (i1, a1) (i2, a2) -> compare (a1, i1) (a2, i2)) (List.rev !survivors)
-        in
-        let keep_n = (List.length scored + 1) / 2 in
-        let rec split n = function
-          | x :: rest when n > 0 ->
-              let keep, drop = split (n - 1) rest in
-              (x :: keep, drop)
-          | rest -> ([], rest)
-        in
-        let keep, drop = split keep_n scored in
-        List.iter (fun (i, _) -> results.(i) <- Some (Pruned sunk.(i))) drop;
-        racing :=
-          List.filter (fun (i, _) -> List.mem_assoc i keep) indexed
-      end
+  let rec race order =
+    if order <> [] then begin
+      (match obs with
+      | Some sink when adaptive -> Sw_obs.Sink.incr sink "search.rungs"
+      | _ -> ());
+      improved := false;
+      let rung, rest = split (Stdlib.max 1 k) order in
+      List.iter verify rung;
+      (* keep going while the incumbent is unset — a rung of
+         rank-feasible points the verifier rejected must not end the
+         search *)
+      if adaptive && (!improved || !incumbent = None) then race rest
     end
-  done;
-  let pruned = ref 0 in
-  let final =
+  in
+  race order;
+  (* Results in enumeration order: verified points from the table,
+     points the ranker rejected as Rejected, everything else pruned for
+     free. *)
+  let results =
     List.map
-      (fun (i, p) ->
-        match results.(i) with
-        | Some res ->
-            (match res with Pruned _ -> incr pruned | Priced _ | Rejected _ -> ());
-            (p, res)
-        | None ->
-            (* rungs = 1 never enters the loop; handled by the caller *)
-            assert false)
+      (fun (i, p, r) ->
+        match (Hashtbl.find_opt verdicts i, r) with
+        | Some res, _ -> (p, res)
+        | None, Error e -> (p, Rejected e) (* the ranker's compile check rejected it *)
+        | None, Ok _ -> (p, Pruned Backend.zero_cost))
       indexed
   in
-  observe_pruned obs !pruned;
-  ( final,
-    {
-      strategy = name (Successive_halving { rungs });
-      pruned = !pruned;
-      rank_host_s = 0.0;
-      rank_machine_us = 0.0;
-    } )
+  (results, rank_host_s, rank_machine_us)
 
 (* ------------------------------------------------------------------ *)
 (* Robust: shortlist first, then re-assess every surviving (Priced)
@@ -408,12 +237,8 @@ let quantile_of ~quantile sorted =
   in
   sorted.(idx)
 
-let run_robust ?link ~rank ~k ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs config
-    kernel points =
-  let results, sstats =
-    run_shortlist ~cutoff_prune:false ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config
-      kernel points
-  in
+let rescore_robust ?link ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs config
+    kernel results =
   let plans = List.map (fun seed -> Sw_fault.Fault.plan ~spec ~seed config) seeds in
   let survivors =
     List.filter_map
@@ -460,38 +285,47 @@ let run_robust ?link ~rank ~k ~seeds ~quantile ~spec ~backend ~active_cpes ?pool
         (i, (p, Priced { v with Backend.cycles = score; cost = Backend.add_cost v.Backend.cost extra_cost })))
       survivors
   in
-  let final =
-    List.mapi
-      (fun i pr -> match List.assoc_opt i scored with Some pr' -> pr' | None -> pr)
-      results
-  in
-  ( final,
-    { sstats with strategy = name (Robust { rank; k; seeds; quantile; spec }) } )
+  List.mapi (fun i pr -> match List.assoc_opt i scored with Some pr' -> pr' | None -> pr) results
 
 let run strategy ~backend ~active_cpes ?pool ?obs ?link config kernel ~points =
-  match strategy with
-  | Exhaustive ->
-      (* exhaustive's contract is to price every point: the link's
-         cutoff is never applied, but it still ticks (heartbeats) *)
-      ( run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points,
-        { strategy = "exhaustive"; pruned = 0; rank_host_s = 0.0; rank_machine_us = 0.0 } )
-  | Shortlist { rank; k } ->
-      run_shortlist ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel points
-  | Adaptive_shortlist { rank; k } ->
-      run_adaptive ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel points
-  | Successive_halving { rungs } when rungs <= 1 ->
-      (* one rung races nothing: identical to exhaustive by construction *)
-      ( run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points,
-        {
-          strategy = name (Successive_halving { rungs });
-          pruned = 0;
-          rank_host_s = 0.0;
-          rank_machine_us = 0.0;
-        } )
-  | Successive_halving { rungs } ->
-      run_halving ?link ~rungs ~backend ~active_cpes ?pool ?obs config kernel points
-  | Robust { rank; k; seeds; quantile; spec } ->
-      (* robust disables cutoff pruning entirely (every survivor must
-         be fully priced); the link only carries heartbeats *)
-      run_robust ?link ~rank ~k ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs
-        config kernel points
+  let ranked ~adaptive ~cutoff_prune ~rank ~k =
+    run_ranked ~adaptive ~cutoff_prune ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config
+      kernel points
+  in
+  let results, rank_host_s, rank_machine_us =
+    match strategy with
+    | Exhaustive ->
+        (* exhaustive's contract is to price every point: the link's
+           cutoff is never applied, but it still ticks (heartbeats) *)
+        (run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points, 0.0, 0.0)
+    | Shortlist { rank; k } -> ranked ~adaptive:false ~cutoff_prune:true ~rank ~k
+    | Adaptive_shortlist { rank; k } -> ranked ~adaptive:true ~cutoff_prune:true ~rank ~k
+    | Robust { rank; k; seeds; quantile; spec } ->
+        (* robust disables cutoff pruning entirely (every survivor must
+           be fully priced); the link only carries heartbeats *)
+        let results, rank_host_s, rank_machine_us =
+          ranked ~adaptive:false ~cutoff_prune:false ~rank ~k
+        in
+        ( rescore_robust ?link ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs config
+            kernel results,
+          rank_host_s,
+          rank_machine_us )
+  in
+  let pruned =
+    List.fold_left (fun n (_, r) -> match r with Pruned _ -> n + 1 | _ -> n) 0 results
+  in
+  (match obs with
+  | Some sink when pruned > 0 -> Sw_obs.Sink.incr sink ~by:pruned "search.pruned"
+  | _ -> ());
+  (* the search's full machine bill: completed verdicts, the sunk
+     prefixes of pruned runs, and whatever the ranking pass simulated *)
+  let machine_us =
+    List.fold_left
+      (fun acc (_, r) ->
+        match r with
+        | Priced v -> acc +. v.Backend.cost.Backend.machine_us
+        | Pruned c -> acc +. c.Backend.machine_us
+        | Rejected _ -> acc)
+      rank_machine_us results
+  in
+  (results, { strategy = name strategy; rank_host_s; rank_machine_us; machine_us })

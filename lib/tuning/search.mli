@@ -4,9 +4,13 @@
     affordable because a model evaluation is orders of magnitude
     cheaper than a measurement.  This module turns that argument into
     search structure: instead of paying the expensive backend
-    (simulator, hybrid) for {e every} point, a strategy decides which
-    points deserve a full-fidelity assessment and what budget each one
-    gets.
+    (simulator, hybrid) for {e every} point, a strategy ranks the space
+    with a cheap backend and decides which points deserve a
+    full-fidelity assessment.  The three ranked strategies share one
+    verification loop: a shortlist is one rung of the ranked order, the
+    adaptive shortlist adds rungs until one fails to improve the
+    incumbent, and the robust strategy verifies one rung with the
+    cutoff turned off.
 
     All strategies compose with {!Sw_util.Pool} (deterministic at any
     pool size) and with an observability sink, and none of them ever
@@ -39,11 +43,6 @@ type t =
           the argmin is recovered without hand-tuning [K] per kernel as
           long as the ranker places the true best ahead of a full quiet
           rung. *)
-  | Successive_halving of { rungs : int }
-      (** Race all points through [rungs] rounds of growing
-          event-budget, halving the field between rounds by partial
-          progress; the final rung runs unmetered under the incumbent
-          cutoff.  [rungs <= 1] degrades to [Exhaustive] exactly. *)
   | Robust of {
       rank : Sw_backend.Backend.t;
       k : int;
@@ -70,9 +69,6 @@ val adaptive_shortlist : ?rank:Sw_backend.Backend.t -> k:int -> unit -> t
 (** [rank] defaults to {!Sw_backend.Backend.static_model}.
     @raise Invalid_argument when [k < 1]. *)
 
-val successive_halving : rungs:int -> t
-(** @raise Invalid_argument when [rungs < 1]. *)
-
 val robust :
   ?rank:Sw_backend.Backend.t ->
   k:int ->
@@ -88,16 +84,15 @@ val robust :
 
 val name : t -> string
 (** Human/JSON label: ["exhaustive"], ["shortlist(model,k=6)"],
-    ["adaptive(surrogate,k=6)"], ["successive-halving(rungs=3)"],
-    ["robust(model,k=6,seeds=8,q=1.00)"]. *)
+    ["adaptive(surrogate,k=6)"], ["robust(model,k=6,seeds=8,q=1.00)"]. *)
 
 (** What the search decided about one point. *)
 type result_ =
   | Priced of Sw_backend.Backend.verdict  (** Fully assessed by the main backend. *)
   | Rejected of Sw_backend.Backend.infeasibility  (** Compile-time infeasible. *)
   | Pruned of Sw_backend.Backend.cost
-      (** Skipped (never assessed, zero cost) or abandoned mid-run (the
-          sunk prefix cost, summed across successive-halving rungs). *)
+      (** Skipped (never assessed, zero cost) or abandoned mid-run by
+          the incumbent cutoff (the sunk prefix cost). *)
 
 type link = { publish : float -> unit; current : unit -> float option }
 (** A cutoff link lets a search prune against an incumbent held {e
@@ -108,17 +103,19 @@ type link = { publish : float -> unit; current : unit -> float option }
     incumbent strictly improves (including its seeding).  The link is
     purely advisory: cutoffs stay strict, so a stale, lossy or absent
     remote value costs extra verifications, never the argmin.  Applied
-    by the shortlist, adaptive and successive-halving strategies;
+    by the shortlist and adaptive strategies;
     [Exhaustive] (price everything) and [Robust] (cutoff pruning
     disabled by design) ignore it. *)
 
 type stats = {
   strategy : string;  (** {!name} of the strategy that ran. *)
-  pruned : int;  (** Points with a [Pruned] result. *)
   rank_host_s : float;  (** Host seconds of the shortlist ranking pass (0 otherwise). *)
   rank_machine_us : float;
       (** Machine time billed by the ranking backend (0 for the static
           model; nonzero if a simulating backend ranks). *)
+  machine_us : float;
+      (** The search's whole machine bill: completed verdicts, the sunk
+          prefixes of cut-off runs, and [rank_machine_us]. *)
 }
 
 val run :
@@ -137,8 +134,7 @@ val run :
     earliest index wins) sees exactly the exhaustive ordering.
 
     With [obs], the search bumps ["search.pruned"] (points pruned) and
-    ["search.rungs"] (successive-halving or adaptive-shortlist rounds
-    raced); per-assessment
+    ["search.rungs"] (adaptive-shortlist rungs verified); per-assessment
     telemetry comes from wrapping [backend] with
     {!Sw_backend.Backend.instrument} before calling.
 

@@ -45,6 +45,99 @@ let verify config kernel ~best ~default =
   let default_cycles = run default in
   (best_cycles, default_cycles, Unix.gettimeofday () -. wall0)
 
+(* One pass over a search's verdicts in enumeration order: the counts,
+   the first priced point (the default variant's base) and the argmin
+   (strict [<], so the earliest index wins ties).  A sequence, so the
+   sharded tuner can tally a million merged journal entries without
+   materializing them. *)
+type tally = {
+  points : int;
+  evaluated : int;
+  infeasible : int;
+  first_priced : Space.point option;
+  best : (Space.point * float) option;
+  first_rejection : Backend.infeasibility option;
+}
+
+let tally (results : (Space.point * Search.result_) Seq.t) =
+  let points = ref 0 and evaluated = ref 0 and infeasible = ref 0 in
+  let first_priced = ref None and best = ref None and first_rejection = ref None in
+  Seq.iter
+    (fun (p, r) ->
+      incr points;
+      match r with
+      | Search.Priced v ->
+          incr evaluated;
+          if Option.is_none !first_priced then first_priced := Some p;
+          (match !best with
+          | Some (_, c) when v.Backend.cycles >= c -> ()
+          | _ -> best := Some (p, v.Backend.cycles))
+      | Search.Rejected e ->
+          incr infeasible;
+          if Option.is_none !first_rejection then first_rejection := Some e
+      | Search.Pruned _ -> ())
+    results;
+  {
+    points = !points;
+    evaluated = !evaluated;
+    infeasible = !infeasible;
+    first_priced = !first_priced;
+    best = !best;
+    first_rejection = !first_rejection;
+  }
+
+(* The one place a search becomes an outcome, in-process and sharded
+   alike.  The default variant is the caller's, or else the first
+   priced point with unroll 1 and single buffering; quality comes from
+   [verify].  Journal and supervision fields start at their
+   single-process values; the sharded tuner fills them in. *)
+let outcome_of ~tuner ~backend ~strategy ~active_cpes ?default config kernel ~tuning_host_s
+    ~tuning_cpu_s ~machine_time_us ~rank_host_s ~rank_machine_us t =
+  match (t.best, t.first_priced) with
+  | None, _ | _, None ->
+      let detail =
+        match t.first_rejection with
+        | Some { Backend.backend = b; reason } -> Printf.sprintf " (%s: %s)" b reason
+        | None -> ""
+      in
+      Error
+        (`No_feasible_point
+          (Printf.sprintf "%s tuner: no feasible point among %d in the search space%s" tuner
+             t.points detail))
+  | Some (best_point, _), Some p0 ->
+      let best_variant = Space.to_variant best_point ~active_cpes in
+      let default_variant =
+        match default with
+        | Some v -> v
+        | None -> Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
+      in
+      let best_cycles, default_cycles, verify_host_s =
+        verify config kernel ~best:best_variant ~default:default_variant
+      in
+      Ok
+        {
+          backend;
+          strategy;
+          best = best_variant;
+          best_cycles;
+          default_cycles;
+          speedup = default_cycles /. best_cycles;
+          tuning_host_s;
+          tuning_cpu_s;
+          verify_host_s;
+          machine_time_us;
+          evaluated = t.evaluated;
+          infeasible = t.infeasible;
+          points_pruned = t.points - t.evaluated - t.infeasible;
+          rank_host_s;
+          rank_machine_us;
+          journal_hits = 0;
+          journal_misses = 0;
+          restarts = 0;
+          quarantined = [];
+          link_lines_dropped = 0;
+        }
+
 let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?pool ?obs
     ?checkpoint (config : Sw_sim.Config.t) kernel ~points =
   (* Observability never steers the search: [instrument] wraps the
@@ -65,34 +158,19 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
   (* Assessing one point is pure up to the backend's internal
      mutex-guarded caches.  That makes the fan-out over a domain pool
      safe, and every strategy returns results in enumeration order, so
-     the argmin below (strict [<], earliest index wins ties) is
-     bit-identical to the sequential run. *)
+     the argmin (strict [<], earliest index wins ties) is bit-identical
+     to the sequential run. *)
   let results, sstats =
     Search.run strategy ~backend ~active_cpes ?pool ?obs config kernel ~points
   in
   let tuning_host_s = Unix.gettimeofday () -. wall0 in
   let tuning_cpu_s = Sys.time () -. cpu0 in
-  let scored =
-    List.filter_map (function p, Search.Priced v -> Some (p, v) | _ -> None) results
-  in
-  let evaluated = List.length scored in
-  let infeasible =
-    List.length (List.filter (function _, Search.Rejected _ -> true | _ -> false) results)
-  in
-  let points_pruned = sstats.Search.pruned in
-  (* The search's full machine bill: completed verdicts, the sunk
-     prefixes of pruned runs, and whatever the ranking pass simulated. *)
-  let machine_time_us =
-    List.fold_left
-      (fun acc (_, r) ->
-        match r with
-        | Search.Priced v -> acc +. v.Backend.cost.Backend.machine_us
-        | Search.Pruned c -> acc +. c.Backend.machine_us
-        | Search.Rejected _ -> acc)
-      sstats.Search.rank_machine_us results
-  in
+  let t = tally (List.to_seq results) in
   (match (obs, span_t0) with
   | Some sink, Some t0 ->
+      let evaluated = t.evaluated and infeasible = t.infeasible in
+      let points_pruned = t.points - evaluated - infeasible in
+      let machine_time_us = sstats.Search.machine_us in
       Sw_obs.Sink.incr sink "tuner.searches";
       Sw_obs.Sink.incr sink ~by:(List.length points) "tuner.points";
       Sw_obs.Sink.incr sink ~by:evaluated "tuner.evaluated";
@@ -122,67 +200,19 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
   let journal_hits = match jnl with Some j -> Backend.journal_hits j | None -> 0 in
   let journal_misses = match jnl with Some j -> Backend.journal_misses j | None -> 0 in
   Option.iter Backend.journal_close jnl;
-  match scored with
-  | [] ->
-      let detail =
-        match
-          List.find_map (function _, Search.Rejected e -> Some e | _ -> None) results
-        with
-        | Some { Backend.backend = b; reason } -> Printf.sprintf " (%s: %s)" b reason
-        | None -> ""
-      in
-      Error
-        (`No_feasible_point
-          (Printf.sprintf "%s tuner: no feasible point among %d in the search space%s"
-             (Backend.name backend) (List.length points) detail))
-  | (p0, v0) :: rest ->
-      let best_point, _ =
-        List.fold_left
-          (fun (bp, bs) (p, (v : Backend.verdict)) ->
-            if v.Backend.cycles < bs then (p, v.Backend.cycles) else (bp, bs))
-          (p0, v0.Backend.cycles) rest
-      in
-      let best_variant = Space.to_variant best_point ~active_cpes in
-      let default_variant =
-        match default with
-        | Some v -> v
-        | None -> Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
-      in
-      let best_cycles, default_cycles, verify_host_s =
-        verify config kernel ~best:best_variant ~default:default_variant
-      in
-      Ok
-        {
-          backend = Backend.name backend;
-          strategy = sstats.Search.strategy;
-          best = best_variant;
-          best_cycles;
-          default_cycles;
-          speedup = default_cycles /. best_cycles;
-          tuning_host_s;
-          tuning_cpu_s;
-          verify_host_s;
-          machine_time_us;
-          evaluated;
-          infeasible;
-          points_pruned;
-          rank_host_s = sstats.Search.rank_host_s;
-          rank_machine_us = sstats.Search.rank_machine_us;
-          journal_hits;
-          journal_misses;
-          (* single-process: no workers to restart, no link to lose *)
-          restarts = 0;
-          quarantined = [];
-          link_lines_dropped = 0;
-        }
+  outcome_of ~tuner:(Backend.name backend) ~backend:(Backend.name backend)
+    ~strategy:sstats.Search.strategy ~active_cpes ?default config kernel ~tuning_host_s
+    ~tuning_cpu_s ~machine_time_us:sstats.Search.machine_us
+    ~rank_host_s:sstats.Search.rank_host_s ~rank_machine_us:sstats.Search.rank_machine_us t
+  |> Result.map (fun o -> { o with journal_hits; journal_misses })
 
 (* ------------------------------------------------------------------ *)
 (* Sharded tuning: fan the same search out across worker processes.
    The coordinator never assesses a point itself — each worker journals
    its shard's resolved assessments, and the merged journals are the
-   whole result set.  The argmin below walks [points] in global
-   enumeration order with the same strict [<] fold as [tune], so the
-   sharded pick ties-break identically to the single-process oracle. *)
+   whole result set, read back in global enumeration order into the
+   same [outcome_of] as [tune], so the sharded pick ties-break
+   identically to the single-process oracle. *)
 
 let sum_stat dones key =
   List.fold_left
@@ -234,74 +264,43 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
           journal_paths
   in
   let merged = Backend.journal_merge ~on_issue ~config journal_paths in
-  let quarantined =
-    List.sort_uniq compare (supervision_quarantined @ !unreadable)
-  in
   match !mismatch with
   | Some msg -> Error (`Worker_failure msg)
-  | None -> (
-          let tuning_host_s = Unix.gettimeofday () -. wall0 in
-          let evaluated = ref 0 and infeasible = ref 0 and pruned = ref 0 in
-          let best = ref None in
-          let first_ok = ref None in
-          List.iter
-            (fun p ->
-              let key = Backend.journal_key_of kernel (Space.to_variant p ~active_cpes) in
-              match Hashtbl.find_opt merged key with
-              | Some (Backend.Journal_ok { cycles; _ }) ->
-                  incr evaluated;
-                  if !first_ok = None then first_ok := Some p;
-                  (match !best with
-                  | Some (_, bc) when cycles >= bc -> ()
-                  | _ -> best := Some (p, cycles))
-              | Some (Backend.Journal_infeasible _) -> incr infeasible
-              | None -> incr pruned)
-            points;
-          match !best with
-          | None ->
-              Error
-                (`No_feasible_point
-                  (Printf.sprintf
-                     "sharded %s tuner: no feasible point among %d in the search space"
-                     backend_name (List.length points)))
-          | Some (best_point, _) ->
-              let best_variant = Space.to_variant best_point ~active_cpes in
-              let default_variant =
-                match (default, !first_ok) with
-                | Some v, _ -> v
-                | None, Some p0 ->
-                    Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
-                | None, None -> best_variant
-              in
-              let best_cycles, default_cycles, verify_host_s =
-                verify config kernel ~best:best_variant ~default:default_variant
-              in
-              Ok
-                {
-                  backend = Printf.sprintf "sharded(%s,workers=%d)" backend_name workers;
-                  strategy = strategy_name;
-                  best = best_variant;
-                  best_cycles;
-                  default_cycles;
-                  speedup = default_cycles /. best_cycles;
-                  tuning_host_s;
-                  (* the coordinator's own cpu plus what the workers report:
-                     the real compute bill, not the coordinator's idle wait *)
-                  tuning_cpu_s = Sys.time () -. cpu0 +. sum_stat dones "cpu_s";
-                  verify_host_s;
-                  machine_time_us = sum_stat dones "machine_us";
-                  evaluated = !evaluated;
-                  infeasible = !infeasible;
-                  points_pruned = !pruned;
-                  (* workers rank concurrently: the wall bill is the slowest *)
-                  rank_host_s = max_stat dones "rank_host_s";
-                  rank_machine_us = sum_stat dones "rank_machine_us";
-                  journal_hits = int_of_float (sum_stat dones "journal_hits");
-                  journal_misses = int_of_float (sum_stat dones "journal_misses");
-                  restarts = report.Shard.restarts;
-                  quarantined;
-                  link_lines_dropped = report.Shard.lines_dropped;
-                })
+  | None ->
+      let tuning_host_s = Unix.gettimeofday () -. wall0 in
+      (* the coordinator's own cpu plus what the workers report: the
+         real compute bill, not the coordinator's idle wait *)
+      let tuning_cpu_s = Sys.time () -. cpu0 +. sum_stat dones "cpu_s" in
+      let results =
+        Seq.map
+          (fun p ->
+            let key = Backend.journal_key_of kernel (Space.to_variant p ~active_cpes) in
+            match Hashtbl.find_opt merged key with
+            | Some (Backend.Journal_ok { cycles; machine_us; machine_events }) ->
+                ( p,
+                  Search.Priced
+                    { Backend.cycles; cost = { machine_us; machine_events }; breakdown = None } )
+            | Some (Backend.Journal_infeasible { jbackend; jreason }) ->
+                (p, Search.Rejected { Backend.backend = jbackend; reason = jreason })
+            | None -> (p, Search.Pruned Backend.zero_cost))
+          (List.to_seq points)
+      in
+      (* workers rank concurrently: the wall bill is the slowest *)
+      outcome_of ~tuner:("sharded " ^ backend_name)
+        ~backend:(Printf.sprintf "sharded(%s,workers=%d)" backend_name workers)
+        ~strategy:strategy_name ~active_cpes ?default config kernel ~tuning_host_s
+        ~tuning_cpu_s ~machine_time_us:(sum_stat dones "machine_us")
+        ~rank_host_s:(max_stat dones "rank_host_s")
+        ~rank_machine_us:(sum_stat dones "rank_machine_us") (tally results)
+      |> Result.map (fun o ->
+             {
+               o with
+               journal_hits = int_of_float (sum_stat dones "journal_hits");
+               journal_misses = int_of_float (sum_stat dones "journal_misses");
+               restarts = report.Shard.restarts;
+               quarantined = List.sort_uniq compare (supervision_quarantined @ !unreadable);
+               link_lines_dropped = report.Shard.lines_dropped;
+             })
 
 let tune_exn ~backend ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint config kernel
     ~points =
@@ -310,11 +309,6 @@ let tune_exn ~backend ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint con
   with
   | Ok o -> o
   | Error (`No_feasible_point msg) -> invalid_arg ("Tuner.tune: " ^ msg)
-
-let tune_method ~method_ ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint config kernel
-    ~points =
-  tune ~backend:(backend_of_method method_) ?strategy ?active_cpes ?default ?pool ?obs
-    ?checkpoint config kernel ~points
 
 let outcome_to_json o =
   let open Sw_obs.Json in

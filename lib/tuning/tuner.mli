@@ -106,11 +106,11 @@ val tune :
 (** Search [points] under [backend] and return the outcome, or a typed
     error (carrying a human-readable message with the first backend
     rejection) when every point is infeasible.  [strategy] (default
-    {!Search.Exhaustive}) decides which points the backend prices and
-    at what budget; [default] defaults to the first {e priced} point
-    with unroll 1 (pass an explicit [default] when comparing strategies
-    — a pruning strategy may not price the same first point);
-    [active_cpes] to one core group's 64.
+    {!Search.Exhaustive}) decides which points the backend prices;
+    [default] defaults to the first {e priced} point with unroll 1
+    (pass an explicit [default] when comparing strategies — a pruning
+    strategy may not price the same first point); [active_cpes] to one
+    core group's 64.
 
     When [pool] is given, variant assessment fans out over its domains.
     The argmin is order-independent (strict improvement only, ties
@@ -141,7 +141,7 @@ val tune :
     verbatim instead of recomputing them, reaching a bit-identical
     argmin.  [journal_hits]/[journal_misses] in the outcome prove what
     was replayed vs recomputed.  [Cut_off] results are never journaled
-    (they depend on the run's budgets), and the robust strategy's
+    (they depend on the run's incumbent), and the robust strategy's
     fault-plan re-assessments run under perturbed configurations, which
     pass through the journal unrecorded. *)
 
@@ -165,6 +165,8 @@ val tune_sharded :
     {!Sw_backend.Backend.journal} path that worker appends to and the
     coordinator merges from — the caller owns both so the daemon can
     key them by request digest and the CLI by [--checkpoint].
+    The merged journals feed the same outcome builder as {!tune}:
+    one default-variant rule, one validation step, one record.
 
     Each worker runs the ordinary {!Search} strategy over the shard
     {!Shard.assign} gives it, pruning against the {e global} incumbent
@@ -177,8 +179,8 @@ val tune_sharded :
     order with the same
     strict [<] tie-break as {!tune}, so the sharded pick is the
     single-process pick whenever each worker's search finds its shard's
-    minimum (shortlist/adaptive/halving with the rank backend equal to
-    the verify backend, or exhaustive, guarantee this: cutoffs are
+    minimum (shortlist/adaptive with the rank backend equal to the
+    verify backend, or exhaustive, guarantee this: cutoffs are
     strict, so a shard's minimum is always fully priced and journaled).
 
     Self-healing: the workers run under {!Shard.supervise} — one that
@@ -216,21 +218,6 @@ val tune_exn :
   points:Space.point list ->
   outcome
 (** {!tune}, raising [Invalid_argument] on [`No_feasible_point]. *)
-
-val tune_method :
-  method_:method_ ->
-  ?strategy:Search.t ->
-  ?active_cpes:int ->
-  ?default:Sw_swacc.Kernel.variant ->
-  ?pool:Sw_util.Pool.t ->
-  ?obs:Sw_obs.Sink.t ->
-  ?checkpoint:string ->
-  Sw_sim.Config.t ->
-  Sw_swacc.Kernel.t ->
-  points:Space.point list ->
-  (outcome, [ `No_feasible_point of string ]) result
-(** [tune ~backend:(backend_of_method method_)] — the paper's original
-    interface.  Numerically identical to the pre-backend tuners. *)
 
 val outcome_to_json : outcome -> Sw_obs.Json.t
 (** The canonical machine-readable form of an outcome — the object the

@@ -349,12 +349,6 @@ let test_supervise_lines_dropped () =
   Alcotest.(check bool) "completed" true (report.Shard.health = Shard.Completed);
   Alcotest.(check int) "two lines lost in the gap" 2 report.Shard.lines_dropped
 
-(* The legacy fail-fast contract is a wrapper over the same engine. *)
-let test_coordinate_fail_fast () =
-  match Shard.coordinate [ sh_proc ~shard:0 {|exit 7|} ] with
-  | Ok _ -> Alcotest.fail "coordinate must fail fast on a dead worker"
-  | Error msg -> Alcotest.(check bool) "names the shard" true (String.length msg > 0)
-
 let tests =
   ( "chaos",
     [
@@ -371,5 +365,4 @@ let tests =
       Alcotest.test_case "hung worker is killed and relaunched" `Quick test_supervise_hang;
       Alcotest.test_case "sequence gaps count dropped lines" `Quick
         test_supervise_lines_dropped;
-      Alcotest.test_case "coordinate stays fail-fast" `Quick test_coordinate_fail_fast;
     ] )

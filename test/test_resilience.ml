@@ -1,4 +1,4 @@
-(* Graceful degradation and crash-safe tuning: timeout/retry/fallback
+(* Graceful degradation and crash-safe tuning: timeout/fallback
    combinators, the single-flight memoizer under domain fan-out, the
    assessment journal (resume after a kill is bit-identical and never
    recomputes journaled points), the robust search strategy, and the
@@ -26,22 +26,6 @@ let tmp_file suffix = Filename.temp_file "swpm_test_" suffix
 
 exception Flaky of int
 
-(* A backend that raises on its first [failures] assessments, then
-   delegates to the static model. *)
-let flaky ~failures () : Backend.t =
-  let calls = Atomic.make 0 in
-  let module W = struct
-    let name = "flaky"
-
-    let description = "raises on the first assessments, then delegates"
-
-    let assess ?cutoff ?event_budget config kernel variant =
-      let n = Atomic.fetch_and_add calls 1 in
-      if n < failures then raise (Flaky n);
-      Backend.assess_budget ?cutoff ?event_budget Backend.static_model config kernel variant
-  end in
-  (module W : Backend.S)
-
 let always_raises : Backend.t =
   (module struct
     let name = "broken"
@@ -52,25 +36,7 @@ let always_raises : Backend.t =
   end)
 
 (* ------------------------------------------------------------------ *)
-(* with_retry / with_timeout *)
-
-let test_retry_recovers_from_transient_failures () =
-  let sink = Sw_obs.Sink.create () in
-  let b = Backend.with_retry ~sink ~attempts:3 (flaky ~failures:2 ()) in
-  let kernel = kernel_of "kmeans" 0.25 in
-  let v = (entry "kmeans").Sw_workloads.Registry.variant in
-  let verdict = Result.get_ok (Backend.assess b config kernel v) in
-  Alcotest.(check bool) "third try answers" true (verdict.Backend.cycles > 0.0);
-  Alcotest.(check (float 0.0)) "two retries counted" 2.0
-    (Sw_obs.Sink.counter sink "backend.retry.flaky")
-
-let test_retry_budget_exhausts () =
-  let b = Backend.with_retry ~attempts:2 (flaky ~failures:5 ()) in
-  let kernel = kernel_of "kmeans" 0.25 in
-  let v = (entry "kmeans").Sw_workloads.Registry.variant in
-  match Backend.assess b config kernel v with
-  | exception Flaky _ -> ()
-  | _ -> Alcotest.fail "expected the last exception to propagate"
+(* with_timeout *)
 
 let test_timeout_disqualifies () =
   let sink = Sw_obs.Sink.create () in
@@ -292,6 +258,104 @@ let test_journal_replays_infeasibility () =
   Backend.journal_close j2;
   Sys.remove path
 
+(* The three ways [Backend.journal] can open a file. *)
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  contents
+
+(* Open [path] under [config], assess the first [n] kmeans points once,
+   close, and return (hits, misses, journal.unreadable count). *)
+let journal_pass ?(n = 3) path =
+  let sink = Sw_obs.Sink.create () in
+  let j = Backend.journal ~sink ~path config Backend.static_model in
+  let kernel = kernel_of "kmeans" 0.25 in
+  List.iteri
+    (fun i pt ->
+      if i < n then
+        ignore
+          (Backend.assess (Backend.journaled j) config kernel
+             (Sw_tuning.Space.to_variant pt ~active_cpes:64)))
+    (points_of "kmeans");
+  Backend.journal_close j;
+  ( Backend.journal_hits j,
+    Backend.journal_misses j,
+    int_of_float (Sw_obs.Sink.counter sink "journal.unreadable") )
+
+let entries_of path =
+  match Backend.journal_read ~config path with
+  | Ok entries -> List.length entries
+  | Error issue -> Alcotest.fail (Backend.journal_issue_string issue)
+
+let test_journal_opens_empty_file_fresh () =
+  (* what [Filename.temp_file] pre-creates for an ephemeral journal *)
+  let path = tmp_file ".journal" in
+  let hits, misses, unreadable = journal_pass path in
+  Alcotest.(check int) "no counter" 0 unreadable;
+  Alcotest.(check (pair int int)) "all fresh" (0, 3) (hits, misses);
+  Alcotest.(check bool) "header written" true
+    (String.starts_with ~prefix:(Backend.journal_header_line config ^ "\n") (read_file path));
+  Alcotest.(check int) "every entry readable" 3 (entries_of path);
+  Sys.remove path
+
+let test_journal_unreadable_starts_fresh () =
+  let path = tmp_file ".journal" in
+  let other =
+    Sw_sim.Config.default
+      { p with Sw_arch.Params.mem_bw_bytes_per_s = p.Sw_arch.Params.mem_bw_bytes_per_s /. 2.0 }
+  in
+  (* a well-formed journal bound to another configuration, holding the
+     very points the pass assesses *)
+  let foreign =
+    ignore (journal_pass path);
+    let body = read_file path in
+    let nl = String.index body '\n' in
+    Backend.journal_header_line other ^ String.sub body nl (String.length body - nl)
+  in
+  List.iter
+    (fun contents ->
+      write_file path contents;
+      let hits, misses, unreadable = journal_pass path in
+      Alcotest.(check int) "counted once" 1 unreadable;
+      Alcotest.(check (pair int int)) "nothing replayed" (0, 3) (hits, misses);
+      Alcotest.(check int) "fresh file, every entry readable" 3 (entries_of path))
+    [ "garbage bytes\n\000\001"; foreign ];
+  Sys.remove path
+
+let test_journal_truncates_torn_tail () =
+  let path = tmp_file ".journal" in
+  ignore (journal_pass ~n:2 path);
+  (* a kill mid-write: half of a third entry, no newline *)
+  let torn =
+    let key =
+      Backend.journal_key_of (kernel_of "kmeans" 0.25)
+        (Sw_tuning.Space.to_variant (List.nth (points_of "kmeans") 5) ~active_cpes:64)
+    in
+    let line =
+      Backend.journal_entry_line key
+        (Backend.Journal_ok { cycles = 1.0; machine_us = 0.0; machine_events = 0 })
+    in
+    String.sub line 0 (String.length line / 2)
+  in
+  write_file path (read_file path ^ torn);
+  let hits, misses, unreadable = journal_pass ~n:4 path in
+  Alcotest.(check int) "a torn tail is not unreadable" 0 unreadable;
+  Alcotest.(check (pair int int)) "two replayed, two appended" (2, 2) (hits, misses);
+  let body = read_file path in
+  Alcotest.(check bool) "torn bytes gone" false
+    (List.exists (String.ends_with ~suffix:torn) (String.split_on_char '\n' body));
+  Alcotest.(check int) "next replay recovers every complete entry" 4 (entries_of path);
+  let hits, misses, _ = journal_pass ~n:4 path in
+  Alcotest.(check (pair int int)) "all four replay" (4, 0) (hits, misses);
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Robust search *)
 
@@ -440,8 +504,6 @@ let test_faulty_run_trace_exports_valid_chrome () =
 let tests =
   ( "resilience",
     [
-      Alcotest.test_case "retry recovers" `Quick test_retry_recovers_from_transient_failures;
-      Alcotest.test_case "retry budget exhausts" `Quick test_retry_budget_exhausts;
       Alcotest.test_case "timeout disqualifies" `Quick test_timeout_disqualifies;
       Alcotest.test_case "generous timeout transparent" `Quick
         test_generous_timeout_is_transparent;
@@ -450,11 +512,16 @@ let tests =
         test_fallback_exhaustion_is_infeasible_not_raise;
       Alcotest.test_case "fallback never raises on Table II" `Slow
         test_fallback_never_raises_on_table2_under_faults;
-      Alcotest.test_case "memo hammered from 4 domains" `Quick test_memo_hammered_from_domains;
       Alcotest.test_case "checkpointed sweep resumes" `Slow
         test_checkpointed_sweep_resumes_bit_identical;
       Alcotest.test_case "journal bound to config" `Quick test_journal_bound_to_config;
+      Alcotest.test_case "memo hammered from 4 domains" `Quick test_memo_hammered_from_domains;
       Alcotest.test_case "journal replays infeasibility" `Quick test_journal_replays_infeasibility;
+      Alcotest.test_case "journal opens an empty file fresh" `Quick
+        test_journal_opens_empty_file_fresh;
+      Alcotest.test_case "journal: unreadable starts fresh" `Quick
+        test_journal_unreadable_starts_fresh;
+      Alcotest.test_case "journal truncates a torn tail" `Quick test_journal_truncates_torn_tail;
       Alcotest.test_case "robust = min-of-worst-case" `Slow
         test_robust_strategy_picks_min_of_worst_case;
       Alcotest.test_case "robust strategy validates" `Quick test_robust_strategy_validates;

@@ -1,12 +1,12 @@
 (* Search strategies: pruning must never change the answer.
 
-   The identity properties pin the degenerate strategies to exhaustive
-   (shortlist keeping the whole space, successive halving with one
-   rung), at several pool sizes; the cutoff unit tests pin the engine's
-   early-exit semantics (a cutoff above the true makespan is invisible,
-   a cutoff below yields a typed Cutoff and never a wrong metric); the
-   Table II test is the paper-level claim — the static model ranks the
-   true argmin into the top quarter on every tuning kernel. *)
+   The identity properties pin the degenerate strategy to exhaustive
+   (a shortlist keeping the whole space), at several pool sizes; the
+   cutoff unit tests pin the engine's early-exit semantics (a cutoff
+   above the true makespan is invisible, a cutoff below yields a typed
+   Cutoff and never a wrong metric); the Table II test is the
+   paper-level claim — the static model ranks the true argmin into the
+   top quarter on every tuning kernel. *)
 
 open Sw_tuning
 
@@ -41,10 +41,10 @@ let same_answer a b =
 let with_pool size f =
   match size with 0 -> f None | n -> f (Some (Sw_util.Pool.create ~size:n ()))
 
-(* entry index x scale choice x pool size: degenerate strategies return
-   the exhaustive answer *)
+(* entry index x scale choice x pool size: a shortlist of the whole
+   space returns the exhaustive answer *)
 let prop_degenerate_strategies_identical =
-  QCheck.Test.make ~name:"shortlist k=|space| and halving rungs=1 match exhaustive" ~count:12
+  QCheck.Test.make ~name:"shortlist k=|space| matches exhaustive" ~count:12
     QCheck.(
       triple
         (int_range 0 (Array.length subset_entries - 1))
@@ -59,15 +59,7 @@ let prop_degenerate_strategies_identical =
           let full_shortlist =
             tune ?pool ~strategy:(Search.shortlist ~k:(List.length pts) ()) entry kernel pts
           in
-          let one_rung =
-            tune ?pool ~strategy:(Search.successive_halving ~rungs:1) entry kernel pts
-          in
-          same_answer exhaustive full_shortlist
-          && same_answer exhaustive one_rung
-          (* one rung is the exhaustive code path exactly *)
-          && exhaustive.Tuner.evaluated = one_rung.Tuner.evaluated
-          && exhaustive.Tuner.infeasible = one_rung.Tuner.infeasible
-          && one_rung.Tuner.points_pruned = 0))
+          same_answer exhaustive full_shortlist))
 
 let prop_strategies_pool_deterministic =
   QCheck.Test.make ~name:"pruned strategies identical at any pool size" ~count:8
@@ -85,7 +77,7 @@ let prop_strategies_pool_deterministic =
             && seq.Tuner.evaluated = par.Tuner.evaluated
             && seq.Tuner.points_pruned = par.Tuner.points_pruned)
       in
-      check (Search.shortlist ~k ()) && check (Search.successive_halving ~rungs:3))
+      check (Search.shortlist ~k ()))
 
 (* ------------------------------------------------------------------ *)
 (* Engine cutoff semantics *)
@@ -263,6 +255,46 @@ let test_rank_backend_billed_separately () =
   let exhaustive = tune_model Search.exhaustive in
   Alcotest.(check bool) "same argmin" true (ranked.Tuner.best = exhaustive.Tuner.best)
 
+(* Every strategy reports through the same counters: only the adaptive
+   strategy counts rungs, [search.pruned] counts the Pruned results, and
+   [stats.machine_us] is the whole bill (ranking pass included). *)
+let test_search_counters () =
+  let entry = Sw_workloads.Registry.find_exn "kmeans" in
+  let kernel = entry.Sw_workloads.Registry.build ~scale:0.1 in
+  let pts = points entry in
+  let run strategy =
+    let sink = Sw_obs.Sink.create () in
+    let results, stats =
+      Search.run strategy ~backend:Sw_backend.Backend.simulator ~active_cpes:64 ~obs:sink
+        config kernel ~points:pts
+    in
+    let count f = List.length (List.filter (fun (_, r) -> f r) results) in
+    let bill =
+      List.fold_left
+        (fun acc (_, r) ->
+          match r with
+          | Search.Priced v -> acc +. v.Sw_backend.Backend.cost.Sw_backend.Backend.machine_us
+          | Search.Pruned c -> acc +. c.Sw_backend.Backend.machine_us
+          | Search.Rejected _ -> acc)
+        stats.Search.rank_machine_us results
+    in
+    let name = Search.name strategy in
+    let pruned = count (function Search.Pruned _ -> true | _ -> false) in
+    Alcotest.(check (float 0.0)) (name ^ ": search.pruned") (float_of_int pruned)
+      (Sw_obs.Sink.counter sink "search.pruned");
+    Alcotest.(check (float 0.0)) (name ^ ": machine bill") bill stats.Search.machine_us;
+    (Sw_obs.Sink.counter sink "search.rungs", count (function Search.Priced _ -> true | _ -> false))
+  in
+  let rungs, _ = run Search.exhaustive in
+  Alcotest.(check (float 0.0)) "exhaustive counts no rungs" 0.0 rungs;
+  let rungs, _ = run (Search.shortlist ~k:4 ()) in
+  Alcotest.(check (float 0.0)) "shortlist counts no rungs" 0.0 rungs;
+  let rungs, _ = run (Search.robust ~k:4 ~seeds:[ 1; 2 ] ()) in
+  Alcotest.(check (float 0.0)) "robust counts no rungs" 0.0 rungs;
+  let rungs, priced = run (Search.adaptive_shortlist ~k:2 ()) in
+  Alcotest.(check bool) "adaptive counts its rungs" true
+    (rungs >= 1.0 && float_of_int priced <= 2.0 *. rungs)
+
 let prop_adaptive_whole_space_is_exhaustive =
   QCheck.Test.make ~name:"adaptive k=|space| matches exhaustive" ~count:8
     QCheck.(pair (int_range 0 (Array.length subset_entries - 1)) (int_range 0 2))
@@ -335,6 +367,7 @@ let tests =
         test_shortlist_cheaper_machine_time;
       Alcotest.test_case "ranking pass billed when ranker /= verifier" `Quick
         test_rank_backend_billed_separately;
+      Alcotest.test_case "counters: rungs, pruned, machine bill" `Quick test_search_counters;
       QCheck_alcotest.to_alcotest prop_adaptive_whole_space_is_exhaustive;
       QCheck_alcotest.to_alcotest prop_adaptive_pool_deterministic;
       Alcotest.test_case "table2: adaptive argmin matches exhaustive" `Quick

@@ -197,7 +197,7 @@ let test_parse_request_unknown_field () =
       {|{"id": 1, "op": "ping", "deadline_ms": 5}|};
       {|{"id": "x", "op": "shutdown"}|};
       {|{"op": "predict", "kernel": "kmeans", "scale": 0.5, "cgs": 1, "grain": 8, "unroll": 2, "cpes": 32, "double_buffer": true, "backend": "sim", "seed": 1, "faults": 1, "fault_level": "mild"}|};
-      {|{"op": "tune", "kernel": "kmeans", "scale": 0.5, "backend": "sim", "strategy": "shortlist", "rank": "model", "shortlist": 4, "rungs": 2, "robust": 2, "seed": 1, "faults": 1, "fault_level": "mild", "checkpoint": "j", "workers": 1, "max_restarts": 1, "hang_timeout_s": 2.0, "grains": "8..64", "unrolls": "1..4", "db_both": true}|};
+      {|{"op": "tune", "kernel": "kmeans", "scale": 0.5, "backend": "sim", "strategy": "shortlist", "rank": "model", "shortlist": 4, "robust": 2, "seed": 1, "faults": 1, "fault_level": "mild", "checkpoint": "j", "workers": 1, "max_restarts": 1, "hang_timeout_s": 2.0, "grains": "8..64", "unrolls": "1..4", "db_both": true}|};
       {|{"op": "timeline", "kernel": "lud", "scale": 0.5, "grain": 8, "unroll": 2, "cpes": 32, "double_buffer": false, "seed": 1, "faults": 1, "fault_level": "mild"}|};
     ]
 
@@ -253,21 +253,72 @@ let test_bounds_negative_shortlist () =
       Alcotest.(check string) "field" "shortlist" e.Handler.field;
       Alcotest.(check string) "value" "-5" e.Handler.value
 
-let test_bounds_zero_rungs () =
-  names_field "rungs"
-    (daemon_error {|{"op": "tune", "kernel": "kmeans", "strategy": "halving", "rungs": 0}|});
-  (* the CLI's --rungs 0 reaches the same verb as this record *)
-  let req =
-    { (Handler.tune_defaults ~kernel:"kmeans") with Handler.t_strategy = "halving"; t_rungs = 0 }
+(* There is no successive halving on the wire: its [rungs] field is
+   unknown and its strategy name is refused with the list of strategies
+   that exist. *)
+let test_halving_refused () =
+  (match Handler.parse_request {|{"op": "tune", "kernel": "kmeans", "rungs": 2}|} with
+  | Ok _ -> Alcotest.fail "rungs accepted"
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S refuses rungs" msg)
+        true
+        (String.starts_with ~prefix:{|unknown field "rungs" for op "tune"|} msg));
+  let refused msg =
+    Alcotest.(check string) "strategy error"
+      {|unknown strategy "halving" (available: exhaustive, shortlist, adaptive, robust)|} msg
   in
-  (match Handler.tune (Handler.create ()) req with
-  | Ok _ -> Alcotest.fail "tune accepted rungs 0"
-  | Error msg -> names_field "rungs" msg);
-  match Handler.check_bounds (Handler.Tune req) with
-  | Ok () -> Alcotest.fail "rungs 0 within bounds"
-  | Error e ->
-      Alcotest.(check string) "value" "0" e.Handler.value;
-      Alcotest.(check string) "expected" "an integer >= 1" e.Handler.expected
+  refused (daemon_error {|{"op": "tune", "kernel": "kmeans", "strategy": "halving"}|});
+  match
+    Handler.tune (Handler.create ())
+      { (Handler.tune_defaults ~kernel:"kmeans") with Handler.t_strategy = "halving" }
+  with
+  | Ok _ -> Alcotest.fail "tune accepted halving"
+  | Error msg -> refused msg
+
+(* The sharding fields are bounded too: a non-positive hang timeout
+   would kill every worker as hung at once, a worker count below 1
+   would silently run in-process, and a negative robust seed count
+   would silently run an exhaustive search. *)
+let test_bounds_sharding_fields () =
+  let base = Handler.tune_defaults ~kernel:"vector-add" in
+  List.iter
+    (fun (field, wire, value, req) ->
+      names_field field
+        (daemon_error
+           (Printf.sprintf {|{"op": "tune", "kernel": "vector-add", "scale": 0.01, %s}|} wire));
+      (match Handler.tune (Handler.create ()) req with
+      | Ok _ -> Alcotest.failf "tune accepted %s %s" field wire
+      | Error msg -> names_field field msg);
+      match Handler.check_bounds (Handler.Tune req) with
+      | Ok () -> Alcotest.failf "%s %s within bounds" field wire
+      | Error e ->
+          Alcotest.(check string) "field" field e.Handler.field;
+          Alcotest.(check string) "value" value e.Handler.value)
+    [
+      ( "hang_timeout_s",
+        {|"workers": 2, "hang_timeout_s": -1.0, "max_restarts": 0|},
+        "-1",
+        { base with Handler.t_workers = 2; t_hang_timeout_s = Some (-1.0); t_max_restarts = 0 } );
+      ( "hang_timeout_s",
+        {|"workers": 2, "hang_timeout_s": 0|},
+        "0",
+        { base with Handler.t_workers = 2; t_hang_timeout_s = Some 0.0 } );
+      ( "max_restarts",
+        {|"workers": 2, "max_restarts": -1|},
+        "-1",
+        { base with Handler.t_workers = 2; t_max_restarts = -1 } );
+      ("workers", {|"workers": 0|}, "0", { base with Handler.t_workers = 0 });
+      ("workers", {|"workers": -3|}, "-3", { base with Handler.t_workers = -3 });
+      ("robust", {|"robust": -2|}, "-2", { base with Handler.t_robust = -2 });
+    ];
+  (* the CLI passes NaN through as a hang timeout; it is refused too *)
+  match
+    Handler.check_bounds
+      (Handler.Tune { base with Handler.t_workers = 2; t_hang_timeout_s = Some Float.nan })
+  with
+  | Ok () -> Alcotest.fail "hang_timeout_s nan within bounds"
+  | Error e -> Alcotest.(check string) "field" "hang_timeout_s" e.Handler.field
 
 let test_request_key () =
   let parse line = Result.get_ok (Handler.parse_request line) in
@@ -972,7 +1023,8 @@ let tests =
       Alcotest.test_case "bounds: zero scale refused" `Quick test_bounds_zero_scale;
       Alcotest.test_case "bounds: non-finite scale refused" `Quick test_bounds_non_finite_scale;
       Alcotest.test_case "bounds: negative shortlist refused" `Quick test_bounds_negative_shortlist;
-      Alcotest.test_case "bounds: zero rungs refused" `Quick test_bounds_zero_rungs;
+      Alcotest.test_case "halving and rungs refused" `Quick test_halving_refused;
+      Alcotest.test_case "bounds: sharding fields refused" `Quick test_bounds_sharding_fields;
       Alcotest.test_case "request keys ignore id and checkpoint" `Quick test_request_key;
       Alcotest.test_case "strip_volatile is recursive" `Quick test_strip_volatile;
       Alcotest.test_case "every response validates and round-trips" `Quick
